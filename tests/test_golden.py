@@ -1,0 +1,82 @@
+"""Golden outputs: the bytes the CLI writes for fixed seeded invocations.
+
+The digests were recorded before the spread kernel, the analysis surface and
+the edge-list writer were consolidated; a refactor that claims unchanged
+outputs must leave every one of them as it is. A digest covers a whole
+``--out`` tree (relative paths and file contents) or one stdout capture.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from gossipnet.cli import main
+
+# parameters of the bundled *_n200 configs, two realizations each
+N200 = {
+    "er": ["--model", "ER", "--N", "200", "--p", "0.04"],
+    "ba": ["--model", "BA", "--N", "200", "--m0", "10", "--m", "4"],
+    "ws": ["--model", "WS", "--N", "200", "--k", "4", "--p", "0.1"],
+}
+SEED = ["--seed", "7", "--realizations", "2"]
+
+EVENTS = "p1 ana\np1 bo\np1 cy\np2 ana\np2 bo\np3 bo\np3 cy\np3 dee\np3 ed\np4 ed\np1 ana\n"
+
+GOLDEN = {
+    "analyze_lesmis": "2ab2f70d31e457d348b0c31a9c055d55519794509174faa62ef60ae3d4f07fd8",
+    "generate_er": "1470ee0d4b338ddf16cfb0b1d4e89edb0ccb585e12cda954b633e209b8d061b1",
+    "generate_ba": "c76ede3161449d18effba2b7b594b97accfe6351c6fad10028c4b708b8659a5b",
+    "generate_ws": "b60ec635f7c4fd8b7bf8fd57cfa1ccdc3c77145e9cc33f419249238ae384e3d2",
+    "sweep_er": "3b3e2562943c4c3328d046c5bdc4b9367853c9a31dd56539cdfd251eea210dde",
+    "sweep_ba": "ce484bf5eb6c0b58760d5c7bbcfa9b0e7bc3c6826634ada72b167874e6c34e70",
+    "sweep_ws": "0b9ee083e4702ba98cad1d9c012dc0bdf907ec8c57d2d356219f021530b5aa61",
+    "project_count": "9d3a8ae42634752f43e5c020055c472f51e4b445486326462c39adae113a233c",
+    "project_newman": "fd5c4b64520d31133810c2d16a9b09a732f62dd63c3290b07ad46c0e3998fe60",
+}
+
+
+def tree_digest(root: Path) -> str:
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(str(p.relative_to(root)).encode() + b"\0")
+            h.update(hashlib.sha256(p.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def lesmis_path() -> Path:
+    return Path(str(resources.files("gossipnet").joinpath("data/les_miserables.edges")))
+
+
+def test_analyze_lesmis(tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(lesmis_path()), "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN["analyze_lesmis"]
+
+
+@pytest.mark.parametrize("name", sorted(N200))
+def test_generate_n200(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["generate", *N200[name], *SEED, "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN[f"generate_{name}"]
+
+
+@pytest.mark.parametrize("name", sorted(N200))
+def test_sweep_n200(tmp_path, name):
+    out = tmp_path / "out"
+    argv = ["sweep", *N200[name], *SEED, "--workers", "1", "--format", "both", "--out", str(out)]
+    assert main(argv) == 0
+    assert tree_digest(out) == GOLDEN[f"sweep_{name}"]
+
+
+@pytest.mark.parametrize("scheme", ["count", "newman"])
+def test_project_stdout(tmp_path, capsys, scheme):
+    src = tmp_path / "events.txt"
+    src.write_text(EVENTS, encoding="utf-8")
+    assert main(["project", "--input", str(src), "--scheme", scheme]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[f"project_{scheme}"]
