@@ -10,7 +10,7 @@ connects members who shared an event. Two weighting schemes:
 Run with: python demos/04_bipartite_projection.py
 """
 
-from gossipnet import global_spread, project_count, project_newman
+from gossipnet import project_count, project_newman, summarize
 
 events = {
     "paper1": ["ana", "bo", "cy"],
@@ -31,8 +31,8 @@ for scheme, project in (("count", project_count), ("newman", project_newman)):
         print(f"  {a:>4} -- {b:<4} weight {w:g}")
     strengths = ", ".join(f"{u}={g.strength(u):g}" for u in sorted(g.labels))
     print(f"  strengths: {strengths}")
-    sigma, beta = global_spread(g)
-    print(f"  spread: sigma={sigma:.3f}, beta={beta:.3f}")
+    s = summarize(g)
+    print(f"  spread: sigma={s.sigma:.3f}, beta={s.beta:.3f}")
     print()
 
 print("both schemes share the same topology; only the weights (and hence "

@@ -51,11 +51,7 @@ from .metrics import (
     NetworkAnalysis,
     NetworkSummary,
     analyze_network,
-    clustering_coefficient,
     find_k0,
-    global_spread,
-    ratio_curves,
-    spread_by_degree,
     summarize,
 )
 
@@ -80,11 +76,9 @@ __all__ = [
     "build_graph",
     "cascade_unweighted",
     "cascade_weighted",
-    "clustering_coefficient",
     "fast_victim_spread",
     "find_k0",
     "generate_structure",
-    "global_spread",
     "induced_neighborhood",
     "is_close_friend",
     "load_config",
@@ -92,11 +86,9 @@ __all__ = [
     "parse_edge_list",
     "project_count",
     "project_newman",
-    "ratio_curves",
     "realization",
     "run_ensemble",
     "save_config",
-    "spread_by_degree",
     "summarize",
     "victim_spread",
     "write_edge_list",

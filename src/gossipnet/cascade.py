@@ -123,38 +123,17 @@ def _bfs(
     return dist, tau
 
 
-def _unweighted_counts(n_local: int, ladj: list[list[int]]) -> list[int]:
-    """n_vr for every originator: the size of its local connected component."""
-    comp = [-1] * n_local
-    sizes: list[int] = []
-    for i in range(n_local):
-        if comp[i] >= 0:
-            continue
-        c = len(sizes)
-        comp[i] = c
-        stack = [i]
-        size = 0
-        while stack:
-            x = stack.pop()
-            size += 1
-            for y in ladj[x]:
-                if comp[y] < 0:
-                    comp[y] = c
-                    stack.append(y)
-        sizes.append(size)
-    return [sizes[comp[i]] for i in range(n_local)]
-
-
-def _weighted_counts(n_local: int, ladj: list[list[int]], fwd: list[bool]) -> list[int]:
-    """m_vr for every originator.
+def _reach_counts(ladj: list[list[int]], fwd: list[bool]) -> list[int]:
+    """Knower count for every originator of one victim.
 
     Forwarding nodes sharing a component of the forwarding-only subgraph
     reach that whole component plus its non-forwarding boundary; a
-    non-forwarding originator reaches nobody (m = 1).
+    non-forwarding originator reaches nobody (count 1). With every node
+    forwarding the boundary is empty and the count is the component size.
     """
-    m_per = [1] * n_local
-    seen = [False] * n_local
-    for i in range(n_local):
+    counts = [1] * len(ladj)
+    seen = [False] * len(ladj)
+    for i in range(len(ladj)):
         if not fwd[i] or seen[i]:
             continue
         seen[i] = True
@@ -173,8 +152,19 @@ def _weighted_counts(n_local: int, ladj: list[list[int]], fwd: list[bool]) -> li
                     boundary.add(y)
         reach = len(members) + len(boundary)
         for x in members:
-            m_per[x] = reach
-    return m_per
+            counts[x] = reach
+    return counts
+
+
+def _victim_counts(
+    g: WeightedGraph, v_idx: int, run_u: bool, run_w: bool
+) -> tuple[list[int], list[int] | None, list[int] | None, int]:
+    """Neighbor indices of one victim, the per-originator n_vr and m_vr
+    (None for a model not run), and the edge count among the neighbors."""
+    nbrs, ladj, edge_count = _local_index(g, v_idx)
+    n_per = _reach_counts(ladj, [True] * len(nbrs)) if run_u else None
+    m_per = _reach_counts(ladj, _forwarding_flags(g, v_idx, nbrs)) if run_w else None
+    return nbrs, n_per, m_per, edge_count
 
 
 def _require_neighbor(g: WeightedGraph, v: Label, r: Label) -> tuple[int, int]:
@@ -269,25 +259,18 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
 def fast_victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpread:
     """Same counts as :func:`victim_spread` without per-originator searches.
 
-    Knower counts come from connected components of the local subgraph (base
-    model) and of its forwarding-node restriction with boundary absorption
-    (weighted model); they are bit-identical to the BFS path. Hop counts are
-    not computed here (None).
+    Knower counts come from one component pass over the local subgraph, with
+    every neighbor forwarding (base model) or only those for whom the victim
+    is not a close friend (weighted model, boundary absorbed); they are
+    bit-identical to the BFS path. Hop counts are not computed here (None).
     """
     _check_model(model)
-    v_idx = g.index_of(v)
-    nbrs, ladj, _ = _local_index(g, v_idx)
+    run_u = model in ("unweighted", "both")
+    run_w = model in ("weighted", "both")
+    nbrs, n_per, m_per, _ = _victim_counts(g, g.index_of(v), run_u, run_w)
     k = len(nbrs)
     if k == 0:
         return VictimSpread(victim=v, degree=0, sigma=None, beta=None, per_originator=())
-
-    run_u = model in ("unweighted", "both")
-    run_w = model in ("weighted", "both")
-    n_per = _unweighted_counts(k, ladj) if run_u else None
-    m_per = None
-    if run_w:
-        fwd = _forwarding_flags(g, v_idx, nbrs)
-        m_per = _weighted_counts(k, ladj, fwd)
 
     outcomes = tuple(
         OriginatorOutcome(

@@ -18,33 +18,38 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO
 
 from .generate import EnsembleSummary, GeneratorConfig, realization, run_ensemble
 from .graph import WeightedGraph
 from .ingest import EdgeListError, parse_bipartite, parse_edge_list, project_count, project_newman, write_edge_list
-from .metrics import DegreeCurve, NetworkAnalysis, NetworkSummary, analyze_network
+from .metrics import DegreeCurve, NetworkAnalysis, analyze_network
 
 SCHEMA_VERSION = 1
 
-#: Leading summary columns, in the order of the reference coefficient table.
+#: Summary columns and the NetworkSummary field behind each: the reference
+#: coefficient table's columns first, in its order, then the extras.
 SUMMARY_COLUMNS = (
-    "N",
-    "M",
-    "k0",
-    "k0_w",
-    "k0w_over_k0",
-    "CC",
-    "sigma",
-    "beta",
-    "sigma_over_cc",
-    "beta_over_cc",
-    "beta_over_sigma",
-    "beta_over_sigma_cc",
+    ("N", "n_nodes"),
+    ("M", "n_edges"),
+    ("k0", "k0"),
+    ("k0_w", "k0_w"),
+    ("k0w_over_k0", "k0w_over_k0"),
+    ("CC", "cc"),
+    ("sigma", "sigma"),
+    ("beta", "beta"),
+    ("sigma_over_cc", "sigma_over_cc"),
+    ("beta_over_cc", "beta_over_cc"),
+    ("beta_over_sigma", "beta_over_sigma"),
+    ("beta_over_sigma_cc", "beta_over_sigma_cc"),
+    ("k0_interior", "k0_interior"),
+    ("k0w_interior", "k0w_interior"),
+    ("isolated_nodes", "n_isolated"),
+    ("leaf_victims", "n_leaf_victims"),
 )
-#: Extra columns appended after the reference ones.
-SUMMARY_EXTRAS = ("k0_interior", "k0w_interior", "isolated_nodes", "leaf_victims")
+SUMMARY_HEADER = tuple(column for column, _ in SUMMARY_COLUMNS)
 
 CURVE_COLUMNS = (
     "k",
@@ -86,27 +91,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _summary_row(s: NetworkSummary) -> dict[str, object]:
-    return {
-        "N": s.n_nodes,
-        "M": s.n_edges,
-        "k0": s.k0,
-        "k0_w": s.k0_w,
-        "k0w_over_k0": s.k0w_over_k0,
-        "CC": s.cc,
-        "sigma": s.sigma,
-        "beta": s.beta,
-        "sigma_over_cc": s.sigma_over_cc,
-        "beta_over_cc": s.beta_over_cc,
-        "beta_over_sigma": s.beta_over_sigma,
-        "beta_over_sigma_cc": s.beta_over_sigma_cc,
-        "k0_interior": s.k0_interior,
-        "k0w_interior": s.k0w_interior,
-        "isolated_nodes": s.n_isolated,
-        "leaf_victims": s.n_leaf_victims,
-    }
 
 
 def _curve_rows(a: NetworkAnalysis) -> list[dict[str, object]]:
@@ -158,22 +142,6 @@ def _write_labels(path: Path, g: WeightedGraph) -> None:
     _write_csv(path, ("index", "label"), rows)
 
 
-def _config_dict(cfg: GeneratorConfig) -> dict[str, object]:
-    return {
-        "model": cfg.model,
-        "N": cfg.N,
-        "p": cfg.p,
-        "m0": cfg.m0,
-        "m": cfg.m,
-        "k": cfg.k,
-        "weight_mean": cfg.weight_mean,
-        "weight_stddev": cfg.weight_stddev,
-        "weight_truncation": cfg.weight_truncation,
-        "seed": cfg.seed,
-        "realizations": cfg.realizations,
-    }
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -190,16 +158,15 @@ def _load_graph(path: str) -> WeightedGraph:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     analysis = analyze_network(g, args.model, args.min_samples)
-    summary_row = _summary_row(analysis.summary)
-    columns = SUMMARY_COLUMNS + SUMMARY_EXTRAS
+    summary_row = {column: getattr(analysis.summary, f) for column, f in SUMMARY_COLUMNS}
     if args.out is None:
-        _write_csv(sys.stdout, columns, [summary_row])
+        _write_csv(sys.stdout, SUMMARY_HEADER, [summary_row])
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curve_rows = _curve_rows(analysis)
     if args.format in ("csv", "both"):
-        _write_csv(out / "summary.csv", columns, [summary_row])
+        _write_csv(out / "summary.csv", SUMMARY_HEADER, [summary_row])
         _write_csv(out / "curves.csv", CURVE_COLUMNS, curve_rows)
         _note(f"wrote {out / 'summary.csv'} and {out / 'curves.csv'}")
     if args.format in ("json", "both"):
@@ -253,7 +220,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         {
             "schema_version": SCHEMA_VERSION,
             "kind": "generate",
-            "config": _config_dict(cfg),
+            "config": asdict(cfg),
             "seed_streams": {
                 "structure": [cfg.seed, "realization_index", 0],
                 "weights": [cfg.seed, "realization_index", 1],
@@ -288,15 +255,17 @@ def _mean_curve_rows(ens: EnsembleSummary) -> list[dict[str, object]]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     ens = run_ensemble(cfg, min_samples=args.min_samples, workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    columns = ("realization",) + SUMMARY_COLUMNS + SUMMARY_EXTRAS
+    summary_rows = [
+        {column: getattr(s, f) for column, f in SUMMARY_COLUMNS} for s in ens.summaries
+    ]
     if args.format in ("csv", "both"):
-        rows = [
-            {"realization": i, **_summary_row(s)} for i, s in enumerate(ens.summaries)
-        ]
-        _write_csv(out / "realizations.csv", columns, rows)
+        rows = [{"realization": i, **row} for i, row in enumerate(summary_rows)]
+        _write_csv(out / "realizations.csv", ("realization",) + SUMMARY_HEADER, rows)
         _write_csv(
             out / "mean_curves.csv",
             ("k", "realizations", "victims", "sigma_k", "beta_k", "cc_k"),
@@ -308,14 +277,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             out / "ensemble.json",
             {
                 "schema_version": SCHEMA_VERSION,
-                "config": _config_dict(cfg),
+                "config": asdict(cfg),
                 "realizations": cfg.realizations,
                 "mean": ens.mean,
                 "std": ens.std,
                 "defined": ens.defined,
                 "k0_of_mean_curve": ens.k0_of_mean_curve,
                 "k0w_of_mean_curve": ens.k0w_of_mean_curve,
-                "summaries": [_summary_row(s) for s in ens.summaries],
+                "summaries": summary_rows,
             },
         )
         _note(f"wrote {out / 'ensemble.json'}")
@@ -334,22 +303,15 @@ def cmd_project(args: argparse.Namespace) -> int:
         return 0
     project = project_count if args.scheme == "count" else project_newman
     g = project(events)
+    out = sys.stdout if args.out is None else Path(args.out)
+    if args.out is not None and out.parent != Path(""):
+        out.parent.mkdir(parents=True, exist_ok=True)
     try:
-        if args.out is None:
-            rows = sorted(
-                (min(str(x), str(y)), max(str(x), str(y)), w) for x, y, w in g.edges()
-            )
-            for lo, hi, w in rows:
-                if any(ch.isspace() for ch in lo + hi):
-                    raise ValueError(f"label {lo!r}/{hi!r} cannot be written to an edge list")
-                sys.stdout.write(f"{lo} {hi} {w:.17g}\n")
-            return 0
-        out = Path(args.out)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
         write_edge_list(g, out)
     except ValueError as exc:  # unwritable labels in the input data
         raise _InputError(str(exc)) from exc
+    if args.out is None:
+        return 0
     _note(f"wrote {out} (N={g.node_count}, M={g.edge_count})")
     _write_labels(Path(str(out) + ".labels.csv"), g)
     return 0
@@ -413,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     p.add_argument("--min-samples", dest="min_samples", type=int, default=1)
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for realizations (output is identical "
-                        "for any value)")
+                   help="worker processes for realizations, at least 1 (output "
+                        "is identical for any value)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("project", help="project bipartite events onto a network",

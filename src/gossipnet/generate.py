@@ -15,6 +15,7 @@ endpoint values.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from os import PathLike
@@ -277,20 +278,29 @@ def _mean_curve(
     return DegreeCurve(points), {k: len(vals) for k, vals in sorted(values.items())}
 
 
+def _pool_size(workers: int, realizations: int) -> int:
+    """Worker processes to start: at most one per realization and per CPU."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return min(workers, realizations, os.cpu_count() or 1)
+
+
 def run_ensemble(
     cfg: GeneratorConfig, min_samples: int = 1, workers: int = 1
 ) -> EnsembleSummary:
     """Generate, weight and summarize ``cfg.realizations`` independent
     networks and aggregate the results.
 
-    ``workers`` > 1 distributes realizations over processes; the output is
-    identical for any worker count because every realization owns its RNG
-    streams and aggregation runs in realization order.
+    ``workers`` > 1 distributes realizations over processes, never more than
+    there are realizations or CPUs; the output is identical for any worker
+    count because every realization owns its RNG streams and aggregation
+    runs in realization order. Raises ValueError for ``workers`` < 1.
     """
     cfg.validate()
+    pool_size = _pool_size(workers, cfg.realizations)
     jobs = [(cfg, i, min_samples) for i in range(cfg.realizations)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             analyses = list(pool.map(_summarize_realization, jobs))
     else:
         analyses = [_summarize_realization(job) for job in jobs]

@@ -11,8 +11,9 @@ are consecutive.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from os import PathLike
-from typing import Iterable, Mapping
+from typing import IO, Iterable, Mapping
 
 from .graph import Label, WeightedGraph, build_graph
 
@@ -38,7 +39,7 @@ def _detect_sep(first_data_line: str, sep: str) -> str:
 
 
 def _data_lines(path: str | PathLike[str]):
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
+    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -79,10 +80,12 @@ def _label_text(label: Label) -> str:
     return text
 
 
-def write_edge_list(g: WeightedGraph, path: str | PathLike[str]) -> None:
-    """Write the canonical edge list: lines sorted by (min-label, max-label),
-    space-separated, weights printed with 17 significant digits so parsing
-    them back reproduces the exact values."""
+def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str]) -> None:
+    """Write the canonical edge list to a path or a text stream: lines sorted
+    by (min-label, max-label), space-separated, weights printed with 17
+    significant digits so parsing them back reproduces the exact values.
+
+    Every label is checked before anything is written."""
     rows = []
     for a, b, w in g.edges():
         ta, tb = _label_text(a), _label_text(b)
@@ -90,15 +93,15 @@ def write_edge_list(g: WeightedGraph, path: str | PathLike[str]) -> None:
             ta, tb = tb, ta
         rows.append((ta, tb, w))
     rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    is_path = isinstance(dest, (str, PathLike))
+    with open(dest, "w", encoding="utf-8", newline="\n") if is_path else nullcontext(dest) as fh:
         for ta, tb, w in rows:
             fh.write(f"{ta} {tb} {w:.17g}\n")
 
 
 def parse_bipartite(path: str | PathLike[str], sep: str = "auto") -> dict[str, list[str]]:
     """Parse group/member records into ordered, deduplicated event groups."""
-    groups: dict[str, list[str]] = {}
-    seen: dict[str, set[str]] = {}
+    pairs: list[tuple[str, str]] = []
     chosen = None
     for lineno, line in _data_lines(path):
         if chosen is None:
@@ -109,13 +112,8 @@ def parse_bipartite(path: str | PathLike[str], sep: str = "auto") -> dict[str, l
                 f"{path}:{lineno}: expected 2 fields "
                 f"({chosen}-separated), got {len(fields)}: {line!r}"
             )
-        group, member = fields
-        members = groups.setdefault(group, [])
-        known = seen.setdefault(group, set())
-        if member not in known:
-            known.add(member)
-            members.append(member)
-    return groups
+        pairs.append((fields[0], fields[1]))
+    return _normalize_events(pairs)
 
 
 def _normalize_events(

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .cascade import _check_model, _forwarding_flags, _unweighted_counts, _weighted_counts
-from .graph import WeightedGraph, _local_index
+from .cascade import _check_model, _victim_counts
+from .graph import WeightedGraph
 
 
 @dataclass(frozen=True)
@@ -92,24 +92,6 @@ class NetworkAnalysis:
     beta_over_sigma_cc_curve: DegreeCurve | None
 
 
-def _victim_rows(
-    g: WeightedGraph, run_u: bool, run_w: bool
-) -> Iterator[tuple[int, int | None, int | None, int]]:
-    """Per victim: (degree, sum of n_vr, sum of m_vr, local edge count)."""
-    for v_idx in range(g.node_count):
-        nbrs, ladj, edge_count = _local_index(g, v_idx)
-        k = len(nbrs)
-        n_sum = None
-        m_sum = None
-        if k > 0:
-            if run_u:
-                n_sum = sum(_unweighted_counts(k, ladj))
-            if run_w:
-                fwd = _forwarding_flags(g, v_idx, nbrs)
-                m_sum = sum(_weighted_counts(k, ladj, fwd))
-        yield k, n_sum, m_sum, edge_count
-
-
 def _spread_value(k: int, count_sum: int) -> float:
     # degree-1 victims carry no gossip-capable pair: aggregate as 0
     return count_sum / (k * k) if k >= 2 else 0.0
@@ -172,7 +154,9 @@ def analyze_network(
     n_isolated = 0
     n_leaf = 0
 
-    for k, n_sum, m_sum, edge_count in _victim_rows(g, run_u, run_w):
+    for v_idx in range(g.node_count):
+        nbrs, n_per, m_per, edge_count = _victim_counts(g, v_idx, run_u, run_w)
+        k = len(nbrs)
         cc_v = 2.0 * edge_count / (k * (k - 1)) if k >= 2 else 0.0
         cc_values.append(cc_v)
         cc_by_k.setdefault(k, []).append(cc_v)
@@ -182,11 +166,11 @@ def analyze_network(
         if k == 1:
             n_leaf += 1
         if run_u:
-            s = _spread_value(k, n_sum)
+            s = _spread_value(k, sum(n_per))
             sigma_values.append(s)
             sigma_by_k.setdefault(k, []).append(s)
         if run_w:
-            b = _spread_value(k, m_sum)
+            b = _spread_value(k, sum(m_per))
             beta_values.append(b)
             beta_by_k.setdefault(k, []).append(b)
 
@@ -260,49 +244,6 @@ def analyze_network(
     )
 
 
-def global_spread(
-    g: WeightedGraph, model: str = "both"
-) -> tuple[float | None, float | None]:
-    """Network-mean spread factors (sigma, beta); None for a model not run.
-
-    Averages per-victim spread over all non-isolated victims, with the
-    degree-1-counts-as-zero convention described in the module docstring.
-    Raises ValueError when the graph has no node of degree >= 1.
-    """
-    analysis = analyze_network(g, model)
-    if g.node_count - analysis.summary.n_isolated == 0:
-        raise ValueError("all nodes are isolated; spread factors undefined")
-    return analysis.summary.sigma, analysis.summary.beta
-
-
-def spread_by_degree(g: WeightedGraph, model: str = "unweighted") -> DegreeCurve:
-    """Per-degree mean spread for a single model (degrees with no victims omitted)."""
-    if model not in ("unweighted", "weighted"):
-        raise ValueError(f"model must be 'unweighted' or 'weighted', got {model!r}")
-    analysis = analyze_network(g, model)
-    curve = analysis.sigma_curve if model == "unweighted" else analysis.beta_curve
-    assert curve is not None
-    return curve
-
-
-def clustering_coefficient(g: WeightedGraph) -> tuple[float, DegreeCurve]:
-    """Mean local clustering coefficient and its per-degree curve.
-
-    Local value: 2 * (edges among neighbors) / (k * (k - 1)) for degree >= 2,
-    0 for smaller degrees; the global value averages over all nodes.
-    """
-    analysis = analyze_network(g, "unweighted")
-    return analysis.summary.cc, analysis.cc_curve
-
-
 def summarize(g: WeightedGraph, model: str = "both", min_samples: int = 1) -> NetworkSummary:
     """All network coefficients in one row (see :class:`NetworkSummary`)."""
     return analyze_network(g, model, min_samples).summary
-
-
-def ratio_curves(g: WeightedGraph) -> tuple[DegreeCurve, DegreeCurve]:
-    """Pointwise beta/sigma and beta/(sigma * cc) over degrees where defined."""
-    analysis = analyze_network(g, "both")
-    assert analysis.beta_over_sigma_curve is not None
-    assert analysis.beta_over_sigma_cc_curve is not None
-    return analysis.beta_over_sigma_curve, analysis.beta_over_sigma_cc_curve

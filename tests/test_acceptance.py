@@ -7,6 +7,7 @@ reference coefficient table and the small worked examples.
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
@@ -139,8 +140,14 @@ def test_c05_dominance_suite(corpus):
 def test_c06_fast_path_oracle_equivalence(corpus):
     checked = 0
     for g in corpus:
+        # network means over non-isolated victims, degree-1 victims as 0
+        sigmas: list[float] = []
+        betas: list[float] = []
         for v in g.labels:
             naive = victim_spread(g, v)
+            if naive.degree >= 1:
+                sigmas.append(naive.sigma if naive.degree >= 2 else 0.0)
+                betas.append(naive.beta if naive.degree >= 2 else 0.0)
             fast = fast_victim_spread(g, v)
             assert fast.sigma == naive.sigma
             assert fast.beta == naive.beta
@@ -149,7 +156,14 @@ def test_c06_fast_path_oracle_equivalence(corpus):
                 assert a.sigma == b.sigma
                 assert a.beta == b.beta
             checked += 1
-    report("c06", f"component path == per-originator BFS on {checked} victims, exact")
+        summary = analyze_network(g).summary
+        assert summary.sigma == math.fsum(sigmas) / len(sigmas)
+        assert summary.beta == math.fsum(betas) / len(betas)
+    report(
+        "c06",
+        f"component path == per-originator BFS on {checked} victims, and "
+        f"network sigma/beta == oracle means on {len(corpus)} graphs, exact",
+    )
 
 
 @pytest.mark.parametrize("uniform_weight", [1.0, 0.1])

@@ -192,6 +192,14 @@ class TestSweep:
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1]
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        argv = ["sweep", "--model", "ER", "--N", "20", "--p", "0.2",
+                "--realizations", "2", "--workers", workers, "--out", str(tmp_path / "o")]
+        assert run(*argv) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_mean_curves_written(self, tmp_path):
         out = tmp_path / "sw"
         run("sweep", "--model", "ER", "--N", "25", "--p", "0.2", "--seed", "2",
@@ -225,6 +233,28 @@ class TestProject:
         assert run("project", "--input", str(src)) == 2
         assert "label" in capsys.readouterr().err
         assert run("project", "--input", str(src), "--out", str(tmp_path / "o.edges")) == 2
+
+    @pytest.mark.parametrize("label", ["a,x", "#x"])
+    def test_labels_unreadable_as_edge_list_are_input_errors(self, tmp_path, capsys, label):
+        # "a,x" would read back as a comma-separated record, "#x" as a comment
+        src = tmp_path / "events.txt"
+        src.write_text(f"e1 b\ne1 {label}\n")
+        assert run("project", "--input", str(src)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "label" in captured.err
+        dst = tmp_path / "o.edges"
+        assert run("project", "--input", str(src), "--out", str(dst)) == 2
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("scheme", ["count", "newman"])
+    def test_stdout_equals_out_file(self, tmp_path, capsys, scheme):
+        src = tmp_path / "events.txt"
+        src.write_text("p1 c\np1 a\np1 b\np2 b\np2 d\np3 a\np3 d\np3 e\np3 c\n")
+        dst = tmp_path / "net.edges"
+        assert run("project", "--input", str(src), "--scheme", scheme, "--out", str(dst)) == 0
+        capsys.readouterr()
+        assert run("project", "--input", str(src), "--scheme", scheme) == 0
+        assert capsys.readouterr().out.encode("utf-8") == dst.read_bytes()
 
     def test_empty_input_warns_and_succeeds(self, tmp_path, capsys):
         src = tmp_path / "events.txt"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from gossipnet import (
     GeneratorConfig,
     analyze_network,
     assign_weights,
-    clustering_coefficient,
     generate_structure,
-    global_spread,
     load_config,
     realization,
     run_ensemble,
@@ -21,6 +20,7 @@ from gossipnet import (
     summarize,
     victim_spread,
 )
+from gossipnet.generate import _pool_size
 
 
 def er(n=60, p=0.1, **kw):
@@ -87,8 +87,7 @@ class TestStructure:
         g = generate_structure(ws(n=200, k=4, p=0.0, seed=3), 0)
         assert g.edge_count == 400
         assert all(g.degree(u) == 4 for u in g.labels)
-        cc, _ = clustering_coefficient(g)
-        assert cc == 0.5
+        assert summarize(g).cc == 0.5
 
     def test_ws_rewiring_preserves_edge_count(self):
         g = generate_structure(ws(n=100, k=6, p=0.3, seed=9), 0)
@@ -136,8 +135,8 @@ class TestWeights:
     def test_uniform_node_weights_make_models_agree(self):
         cfg = ws(n=40, k=4, p=0.2, weight_mean=3.0, weight_stddev=0.0, seed=4)
         g = realization(cfg, 0)
-        sigma, beta = global_spread(g)
-        assert beta == sigma
+        s = summarize(g)
+        assert s.beta == s.sigma
         for v in g.labels:
             vs = victim_spread(g, v)
             for o in vs.per_originator:
@@ -204,6 +203,19 @@ class TestEnsemble:
         assert a.summaries == b.summaries
         assert a.mean == b.mean and a.std == b.std
         assert a.sigma_curve == b.sigma_curve
+
+    def test_workers_below_one_rejected(self):
+        cfg = ws(n=30, k=4, p=0.2, seed=13, realizations=2)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                run_ensemble(cfg, workers=workers)
+
+    def test_pool_size_bounded_by_realizations_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert _pool_size(1, 50) == 1
+        assert _pool_size(8, 3) == min(8, 3, cpus)
+        assert _pool_size(2, 4) == min(2, cpus)
+        assert _pool_size(10**6, 10**6) == cpus
 
     def test_mean_curves_align_on_degree(self):
         cfg = er(n=25, p=0.15, seed=14, realizations=5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -70,6 +71,19 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListError, match=match):
             parse_edge_list(p)
 
+    def test_bom_before_comment(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_bytes("\ufeff# exported\na b 1\n".encode("utf-8"))
+        g = parse_edge_list(p)
+        assert g.labels == ("a", "b")
+
+    def test_bom_not_part_of_first_label(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_bytes("\ufeffa b 1\nb c 1\nc a 1\n".encode("utf-8"))
+        g = parse_edge_list(p)
+        assert g.node_count == 3
+        assert sorted(g.labels) == ["a", "b", "c"]
+
     def test_error_carries_real_line_number(self, tmp_path):
         p = tmp_path / "bad.edges"
         p.write_text("# header\na b 1\n\na b -1\n")
@@ -102,6 +116,20 @@ class TestWriteEdgeList:
         with pytest.raises(ValueError, match="label"):
             write_edge_list(g, tmp_path / "g.edges")
 
+    def test_unwritable_label_leaves_no_file(self, tmp_path):
+        g = build_graph([("a", "b", 1.0), ("b", "#c", 1.0)])
+        with pytest.raises(ValueError, match="label"):
+            write_edge_list(g, tmp_path / "g.edges")
+        assert not (tmp_path / "g.edges").exists()
+
+    def test_stream_matches_file(self, tmp_path):
+        g = build_graph([("z", "m", 1.5), ("a", "z", 2.0), ("m", "a", 1e-3)])
+        p = tmp_path / "g.edges"
+        write_edge_list(g, p)
+        stream = io.StringIO()
+        write_edge_list(g, stream)
+        assert stream.getvalue() == p.read_text(encoding="utf-8")
+
 
 class TestParseBipartite:
     def test_groups_merge_even_when_scattered(self, tmp_path):
@@ -113,6 +141,16 @@ class TestParseBipartite:
     def test_duplicate_members_collapse(self, tmp_path):
         p = tmp_path / "ev.txt"
         p.write_text("g a\ng a\ng b\n")
+        assert parse_bipartite(p) == {"g": ["a", "b"]}
+
+    def test_bom_before_comment(self, tmp_path):
+        p = tmp_path / "ev.txt"
+        p.write_bytes("\ufeff# exported\ng a\ng b\n".encode("utf-8"))
+        assert parse_bipartite(p) == {"g": ["a", "b"]}
+
+    def test_bom_not_part_of_first_group(self, tmp_path):
+        p = tmp_path / "ev.txt"
+        p.write_bytes("\ufeffg a\ng b\n".encode("utf-8"))
         assert parse_bipartite(p) == {"g": ["a", "b"]}
 
     def test_field_count_checked(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Network-level aggregates: global spread, curves, clustering, critical degree."""
+"""Network-level aggregates, read from analyze_network / summarize: global
+spread, curves, clustering, critical degree."""
 
 from __future__ import annotations
 
@@ -11,11 +12,7 @@ from gossipnet import (
     DegreeCurve,
     analyze_network,
     build_graph,
-    clustering_coefficient,
     find_k0,
-    global_spread,
-    ratio_curves,
-    spread_by_degree,
     summarize,
     victim_spread,
 )
@@ -27,45 +24,46 @@ def complete_graph(n, w=1.0):
 
 class TestGlobalSpread:
     def test_complete_graph_all_ones(self):
-        sigma, beta = global_spread(complete_graph(6))
-        assert sigma == 1.0 and beta == 1.0
+        s = summarize(complete_graph(6))
+        assert s.sigma == 1.0 and s.beta == 1.0
 
     def test_path_graph_leaf_victims_count_zero(self):
         # leaves have no friend pair to gossip between: they enter the
         # average as zero, so only the middle victim contributes
         g = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
-        sigma, beta = global_spread(g)
-        assert sigma == pytest.approx((0 + 0.5 + 0) / 3)
-        assert beta == sigma
+        s = summarize(g)
+        assert s.sigma == pytest.approx((0 + 0.5 + 0) / 3)
+        assert s.beta == s.sigma
 
     def test_isolated_nodes_excluded_from_denominator(self):
         g = build_graph([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], nodes=range(5))
-        sigma, _ = global_spread(g)
-        assert sigma == 1.0
-        assert summarize(g).n_isolated == 2
+        s = summarize(g)
+        assert s.sigma == 1.0
+        assert s.n_isolated == 2
 
-    def test_all_isolated_raises(self):
-        g = build_graph([], nodes=["a", "b"])
-        with pytest.raises(ValueError, match="isolated"):
-            global_spread(g)
+    def test_all_isolated_spread_undefined(self):
+        s = summarize(build_graph([], nodes=["a", "b"]))
+        assert s.sigma is None and s.beta is None
+        assert s.n_isolated == 2
 
     def test_model_selection(self, sample9):
-        assert global_spread(sample9, "unweighted")[1] is None
-        assert global_spread(sample9, "weighted")[0] is None
+        assert summarize(sample9, "unweighted").beta is None
+        assert summarize(sample9, "weighted").sigma is None
 
 
 class TestSpreadByDegree:
     def test_regular_graph_single_point_equals_global(self):
         # 5-cycle: every victim has degree 2 and a disconnected neighbor pair
         g = build_graph([(i, (i + 1) % 5, 1.0) for i in range(5)])
-        curve = spread_by_degree(g, "unweighted")
+        a = analyze_network(g, "unweighted")
+        curve = a.sigma_curve
         assert curve.degrees() == (2,)
-        assert curve.value(2) == global_spread(g, "unweighted")[0] == 0.5
+        assert curve.value(2) == a.summary.sigma == 0.5
         assert curve.count(2) == 5
 
     def test_matches_per_victim_regrouping(self, corpus):
         g = corpus[3]
-        curve = spread_by_degree(g, "weighted")
+        curve = analyze_network(g, "weighted").beta_curve
         groups: dict[int, list[float]] = {}
         for v in g.labels:
             k = g.degree(v)
@@ -78,38 +76,31 @@ class TestSpreadByDegree:
             assert curve.count(k) == len(vals)
         assert set(curve.degrees()) == set(groups)
 
-    def test_rejects_both(self, sample9):
-        with pytest.raises(ValueError):
-            spread_by_degree(sample9, "both")
-
 
 class TestClustering:
     def test_triangle(self):
-        cc, curve = clustering_coefficient(complete_graph(3))
-        assert cc == 1.0
-        assert curve.value(2) == 1.0
+        a = analyze_network(complete_graph(3))
+        assert a.summary.cc == 1.0
+        assert a.cc_curve.value(2) == 1.0
 
     def test_star(self):
         g = build_graph([("hub", f"s{i}", 1.0) for i in range(5)])
-        cc, curve = clustering_coefficient(g)
-        assert cc == 0.0
-        assert curve.value(5) == 0.0 and curve.value(1) == 0.0
+        a = analyze_network(g)
+        assert a.summary.cc == 0.0
+        assert a.cc_curve.value(5) == 0.0 and a.cc_curve.value(1) == 0.0
 
     def test_triangle_free_zero(self, bipartite_corpus):
         for g in bipartite_corpus[:5]:
-            cc, _ = clustering_coefficient(g)
-            assert cc == 0.0
+            assert summarize(g).cc == 0.0
 
     def test_reference_network(self, lesmis):
-        cc, _ = clustering_coefficient(lesmis)
-        assert cc == pytest.approx(0.5731, abs=1e-4)
+        assert summarize(lesmis).cc == pytest.approx(0.5731, abs=1e-4)
 
     def test_low_degree_counts_as_zero_in_mean(self):
         # triangle plus a pendant: three nodes at 1, pendant and its anchor lower
         g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
-        cc, _ = clustering_coefficient(g)
         # local values: 1, 1, 1/3, 0
-        assert cc == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
+        assert summarize(g).cc == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
 
 
 class TestFindK0:
@@ -196,14 +187,14 @@ class TestRatioCurves:
     def test_uniform_weights_give_unit_ratio(self, corpus):
         g = corpus[4]
         uniform = build_graph([(a, b, 1.0) for a, b, _ in g.edges()], nodes=g.labels)
-        ratio, _ = ratio_curves(uniform)
+        ratio = analyze_network(uniform).beta_over_sigma_curve
         for k in ratio.degrees():
             assert ratio.value(k) == 1.0
 
     def test_pointwise_division(self, corpus):
         g = corpus[5]
         a = analyze_network(g)
-        ratio, ratio_cc = ratio_curves(g)
+        ratio, ratio_cc = a.beta_over_sigma_curve, a.beta_over_sigma_cc_curve
         for k in ratio.degrees():
             assert ratio.value(k) == pytest.approx(
                 a.beta_curve.value(k) / a.sigma_curve.value(k), rel=1e-12
@@ -217,6 +208,7 @@ class TestRatioCurves:
     def test_zero_denominator_degrees_omitted(self):
         # path: degree-1 victims aggregate to zero spread, so k=1 has no ratio
         g = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
-        ratio, ratio_cc = ratio_curves(g)
+        a = analyze_network(g)
+        ratio, ratio_cc = a.beta_over_sigma_curve, a.beta_over_sigma_cc_curve
         assert 1 not in ratio
         assert len(ratio_cc) == 0  # cc is zero everywhere on a path
