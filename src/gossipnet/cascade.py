@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Label, WeightedGraph, _local_index
+from .graph import Label, WeightedGraph, _forwarding_flags, _local_index
 
 MODELS = ("unweighted", "weighted", "both")
 
@@ -82,19 +82,9 @@ def is_close_friend(g: WeightedGraph, s: Label, v: Label) -> bool:
     exact in floating point when all of s's weights are equal, where the
     strict inequality must fail. The relation is intentionally asymmetric.
     """
-    si = g.index_of(s)
-    vi = g.index_of(v)
-    try:
-        w = g._adj[si][vi]
-    except KeyError:
-        raise ValueError(f"no edge between {s!r} and {v!r}") from None
-    return w * g._degrees[si] > g._strengths[si]
-
-
-def _forwarding_flags(g: WeightedGraph, v_idx: int, nbrs: list[int]) -> list[bool]:
-    """Whether each neighbor of the victim forwards gossip about it."""
-    adj, deg, strength = g._adj, g._degrees, g._strengths
-    return [not (adj[u][v_idx] * deg[u] > strength[u]) for u in nbrs]
+    if not g.has_edge(s, v):
+        raise ValueError(f"no edge between {s!r} and {v!r}")
+    return not _forwarding_flags(g, g.index_of(v), [g.index_of(s)])[0]
 
 
 def _bfs(
@@ -168,11 +158,9 @@ def _victim_counts(
 
 
 def _require_neighbor(g: WeightedGraph, v: Label, r: Label) -> tuple[int, int]:
-    v_idx = g.index_of(v)
-    r_idx = g.index_of(r)
-    if r_idx not in g._adj[v_idx]:
+    if not g.has_edge(v, r):
         raise ValueError(f"originator {r!r} is not a neighbor of victim {v!r}")
-    return v_idx, r_idx
+    return g.index_of(v), g.index_of(r)
 
 
 def _cascade(g: WeightedGraph, v: Label, r: Label, weighted: bool) -> CascadeResult:
@@ -202,9 +190,11 @@ def cascade_weighted(g: WeightedGraph, v: Label, r: Label) -> CascadeResult:
     return _cascade(g, v, r, weighted=True)
 
 
-def _check_model(model: str) -> None:
+def _models(model: str) -> tuple[bool, bool]:
+    """(run the base model, run the weighted model) for a ``model`` name."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    return model != "weighted", model != "unweighted"
 
 
 def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpread:
@@ -213,15 +203,13 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
     This is the reference path: one breadth-first search per originator,
     recording hop counts. For an isolated victim all spread fields are None.
     """
-    _check_model(model)
+    run_u, run_w = _models(model)
     v_idx = g.index_of(v)
     nbrs, ladj, _ = _local_index(g, v_idx)
     k = len(nbrs)
     if k == 0:
         return VictimSpread(victim=v, degree=0, sigma=None, beta=None, per_originator=())
 
-    run_u = model in ("unweighted", "both")
-    run_w = model in ("weighted", "both")
     fwd = _forwarding_flags(g, v_idx, nbrs) if run_w else None
 
     outcomes = []
@@ -264,9 +252,7 @@ def fast_victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> Victi
     is not a close friend (weighted model, boundary absorbed); they are
     bit-identical to the BFS path. Hop counts are not computed here (None).
     """
-    _check_model(model)
-    run_u = model in ("unweighted", "both")
-    run_w = model in ("weighted", "both")
+    run_u, run_w = _models(model)
     nbrs, n_per, m_per, _ = _victim_counts(g, g.index_of(v), run_u, run_w)
     k = len(nbrs)
     if k == 0:

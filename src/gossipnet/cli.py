@@ -18,14 +18,15 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import IO
+from typing import IO, Mapping
 
-from .generate import EnsembleSummary, GeneratorConfig, realization, run_ensemble
+from . import cascade, generate
+from .generate import GeneratorConfig, realization, run_ensemble
 from .graph import WeightedGraph
 from .ingest import EdgeListError, parse_bipartite, parse_edge_list, project_count, project_newman, write_edge_list
-from .metrics import DegreeCurve, NetworkAnalysis, analyze_network
+from .metrics import DegreeCurve, analyze_network
 
 SCHEMA_VERSION = 1
 
@@ -62,6 +63,10 @@ CURVE_COLUMNS = (
 )
 
 
+#: What reading an input file can raise: malformed content, I/O, bad encoding
+_READ_ERRORS = (EdgeListError, OSError, UnicodeDecodeError)
+
+
 class _UsageError(Exception):
     pass
 
@@ -93,31 +98,25 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _curve_rows(a: NetworkAnalysis) -> list[dict[str, object]]:
-    degrees = sorted(
-        set(a.cc_curve.degrees())
-        | set(a.sigma_curve.degrees() if a.sigma_curve else ())
-        | set(a.beta_curve.degrees() if a.beta_curve else ())
-    )
+def _curve_rows(
+    counts: dict[str, Mapping[int, int]], curves: dict[str, DegreeCurve | None]
+) -> list[dict[str, object]]:
+    """One row per degree of any curve: ``k``, each count column (0 where it
+    has no entry), then each curve's value (None where it has no point)."""
+    degrees = sorted({k for c in curves.values() if c is not None for k in c.degrees()})
+    return [
+        {
+            "k": k,
+            **{column: count.get(k, 0) for column, count in counts.items()},
+            **{column: c.value(k) if c is not None and k in c else None
+               for column, c in curves.items()},
+        }
+        for k in degrees
+    ]
 
-    def _val(curve: DegreeCurve | None, k: int):
-        return curve.value(k) if curve is not None and k in curve else None
 
-    rows = []
-    for k in degrees:
-        count = a.cc_curve.count(k) if k in a.cc_curve else 0
-        rows.append(
-            {
-                "k": k,
-                "count": count,
-                "sigma_k": _val(a.sigma_curve, k),
-                "beta_k": _val(a.beta_curve, k),
-                "cc_k": _val(a.cc_curve, k),
-                "beta_over_sigma_k": _val(a.beta_over_sigma_curve, k),
-                "beta_over_sigma_cc_k": _val(a.beta_over_sigma_cc_curve, k),
-            }
-        )
-    return rows
+def _counts(curve: DegreeCurve) -> dict[int, int]:
+    return {k: point.count for k, point in curve.points.items()}
 
 
 def _write_csv(path_or_stream: Path | IO[str], columns, rows: list[dict]) -> None:
@@ -148,7 +147,7 @@ def _write_labels(path: Path, g: WeightedGraph) -> None:
 def _load_graph(path: str) -> WeightedGraph:
     try:
         g = parse_edge_list(path)
-    except (EdgeListError, OSError, UnicodeDecodeError) as exc:
+    except _READ_ERRORS as exc:
         raise _InputError(str(exc)) from exc
     if g.edge_count == 0:
         raise _InputError(f"{path}: no edges")
@@ -164,7 +163,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    curve_rows = _curve_rows(analysis)
+    curve_rows = _curve_rows(
+        {"count": _counts(analysis.cc_curve)},
+        {
+            "sigma_k": analysis.sigma_curve,
+            "beta_k": analysis.beta_curve,
+            "cc_k": analysis.cc_curve,
+            "beta_over_sigma_k": analysis.beta_over_sigma_curve,
+            "beta_over_sigma_cc_k": analysis.beta_over_sigma_cc_curve,
+        },
+    )
     if args.format in ("csv", "both"):
         _write_csv(out / "summary.csv", SUMMARY_HEADER, [summary_row])
         _write_csv(out / "curves.csv", CURVE_COLUMNS, curve_rows)
@@ -184,19 +192,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    cfg = GeneratorConfig(
-        model=args.model,
-        N=args.N,
-        p=args.p,
-        m0=args.m0,
-        m=args.m,
-        k=args.k,
-        weight_mean=args.weight_mean,
-        weight_stddev=args.weight_stddev,
-        weight_truncation=args.weight_truncation,
-        seed=args.seed,
-        realizations=args.realizations,
-    )
+    cfg = GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(GeneratorConfig)})
     try:
         cfg.validate()
     except ValueError as exc:
@@ -222,35 +218,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "kind": "generate",
             "config": asdict(cfg),
             "seed_streams": {
-                "structure": [cfg.seed, "realization_index", 0],
-                "weights": [cfg.seed, "realization_index", 1],
+                part: [cfg.seed, "realization_index", stream]
+                for part, stream in generate.SEED_STREAMS.items()
             },
             "files": files,
         },
     )
     _note(f"wrote {out / 'manifest.json'}")
     return 0
-
-
-def _mean_curve_rows(ens: EnsembleSummary) -> list[dict[str, object]]:
-    degrees = sorted(
-        set(ens.sigma_curve.degrees())
-        | set(ens.beta_curve.degrees())
-        | set(ens.cc_curve.degrees())
-    )
-    rows = []
-    for k in degrees:
-        rows.append(
-            {
-                "k": k,
-                "realizations": ens.curve_realizations.get(k, 0),
-                "victims": ens.sigma_curve.count(k) if k in ens.sigma_curve else 0,
-                "sigma_k": ens.sigma_curve.value(k) if k in ens.sigma_curve else None,
-                "beta_k": ens.beta_curve.value(k) if k in ens.beta_curve else None,
-                "cc_k": ens.cc_curve.value(k) if k in ens.cc_curve else None,
-            }
-        )
-    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -269,7 +244,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write_csv(
             out / "mean_curves.csv",
             ("k", "realizations", "victims", "sigma_k", "beta_k", "cc_k"),
-            _mean_curve_rows(ens),
+            _curve_rows(
+                {"realizations": ens.curve_realizations, "victims": _counts(ens.sigma_curve)},
+                {"sigma_k": ens.sigma_curve, "beta_k": ens.beta_curve, "cc_k": ens.cc_curve},
+            ),
         )
         _note(f"wrote {out / 'realizations.csv'} and {out / 'mean_curves.csv'}")
     if args.format in ("json", "both"):
@@ -294,7 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_project(args: argparse.Namespace) -> int:
     try:
         events = parse_bipartite(args.input)
-    except (EdgeListError, OSError, UnicodeDecodeError) as exc:
+    except _READ_ERRORS as exc:
         raise _InputError(str(exc)) from exc
     if not events:
         _note(f"warning: {args.input}: no event records, writing empty output")
@@ -321,7 +299,8 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def _add_generator_flags(p: argparse.ArgumentParser, default_realizations: int) -> None:
-    p.add_argument("--model", required=True, choices=("ER", "BA", "WS"),
+    # one flag per GeneratorConfig field; its class attributes hold the defaults
+    p.add_argument("--model", required=True, choices=generate.MODELS,
                    help="generator family")
     p.add_argument("--N", required=True, type=int, help="number of nodes")
     p.add_argument("--p", type=float, default=None,
@@ -329,16 +308,17 @@ def _add_generator_flags(p: argparse.ArgumentParser, default_realizations: int) 
     p.add_argument("--m0", type=int, default=None, help="BA seed clique size")
     p.add_argument("--m", type=int, default=None, help="BA edges per new node")
     p.add_argument("--k", type=int, default=None, help="WS ring degree (even)")
-    p.add_argument("--weight_mean", type=float, default=1.0,
-                   help="mean of the per-node weight Gaussian (default 1.0)")
-    p.add_argument("--weight_stddev", type=float, default=1.0,
-                   help="stddev of the per-node weight Gaussian (default 1.0)")
-    p.add_argument("--weight_truncation", choices=("resample", "clamp"),
-                   default="resample",
-                   help="how to keep node weights positive (default resample)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--weight_mean", type=float, default=GeneratorConfig.weight_mean,
+                   help="mean of the per-node weight Gaussian (default %(default)s)")
+    p.add_argument("--weight_stddev", type=float, default=GeneratorConfig.weight_stddev,
+                   help="stddev of the per-node weight Gaussian (default %(default)s)")
+    p.add_argument("--weight_truncation", choices=generate.TRUNCATIONS,
+                   default=GeneratorConfig.weight_truncation,
+                   help="how to keep node weights positive (default %(default)s)")
+    p.add_argument("--seed", type=int, default=GeneratorConfig.seed,
+                   help="master seed (default %(default)s)")
     p.add_argument("--realizations", type=int, default=default_realizations,
-                   help=f"number of realizations (default {default_realizations})")
+                   help="number of realizations (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Compute the coefficient summary and per-degree "
                                    "curves of a weighted edge-list network.")
     p.add_argument("--input", required=True, help="weighted edge-list file")
-    p.add_argument("--model", choices=("unweighted", "weighted", "both"), default="both")
+    p.add_argument("--model", choices=cascade.MODELS, default="both")
     p.add_argument("--out", default=None,
                    help="output directory (omit to print the summary CSV to stdout)")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")

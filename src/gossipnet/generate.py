@@ -2,9 +2,9 @@
 plus seeded ensemble runs.
 
 Every realization is reproducible in isolation: realization ``i`` of a
-config with seed ``s`` draws its structure from the RNG stream
-``SeedSequence([s, i, 0])`` and its weights from ``SeedSequence([s, i, 1])``,
-so ensembles can run on any number of workers without changing the output.
+config with seed ``s`` draws each part (structure, weights) from its own RNG
+stream ``SeedSequence([s, i, SEED_STREAMS[part]])``, so ensembles can run on
+any number of workers without changing the output.
 
 Weights follow a per-node scheme: each node draws w_i from a Gaussian with
 the configured mean and standard deviation (redrawn, or optionally clamped,
@@ -23,6 +23,7 @@ from os import PathLike
 import numpy as np
 
 from .graph import WeightedGraph, build_graph
+from .ingest import _data_lines
 from .metrics import (
     CurvePoint,
     DegreeCurve,
@@ -36,8 +37,8 @@ MODELS = ("ER", "BA", "WS")
 TRUNCATIONS = ("resample", "clamp")
 WEIGHT_FLOOR = 1e-6
 
-_STRUCTURE_STREAM = 0
-_WEIGHT_STREAM = 1
+#: Stream id of each part of a realization, the last SeedSequence entry
+SEED_STREAMS = {"structure": 0, "weights": 1}
 
 # NetworkSummary fields aggregated over ensemble realizations
 SUMMARY_FIELDS = (
@@ -93,6 +94,15 @@ class GeneratorConfig:
             raise ValueError(
                 f"weight_truncation must be one of {TRUNCATIONS}, got {self.weight_truncation!r}"
             )
+        if self.weight_truncation == "resample" and self.weight_stddev > 0:
+            z = (WEIGHT_FLOOR - self.weight_mean) / (self.weight_stddev * math.sqrt(2.0))
+            # with P(draw > floor) >= 0.01, a node exhausts the 10 000 redraws
+            # of _node_weights with odds 0.99**10_000 < e**-100
+            if 0.5 * math.erfc(z) < 0.01:
+                raise ValueError(
+                    "weight distribution has under 1% of its mass above the positive "
+                    "floor; raise weight_mean or use weight_truncation clamp"
+                )
         if self.model == "ER":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"ER needs connection probability p in [0, 1], got {self.p!r}")
@@ -112,8 +122,9 @@ class GeneratorConfig:
                 raise ValueError(f"WS needs rewiring probability p in [0, 1], got {self.p!r}")
 
 
-def _stream(cfg: GeneratorConfig, realization_index: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, realization_index, stream]))
+def _stream(cfg: GeneratorConfig, realization_index: int, part: str) -> np.random.Generator:
+    seq = np.random.SeedSequence([cfg.seed, realization_index, SEED_STREAMS[part]])
+    return np.random.default_rng(seq)
 
 
 def _er_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -178,7 +189,7 @@ def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> Weig
     0 .. N-1 and kept even when isolated.
     """
     cfg.validate()
-    rng = _stream(cfg, realization_index, _STRUCTURE_STREAM)
+    rng = _stream(cfg, realization_index, "structure")
     if cfg.model == "ER":
         edges = _er_edges(cfg.N, cfg.p, rng)
     elif cfg.model == "BA":
@@ -225,7 +236,7 @@ def assign_weights(
 def realization(cfg: GeneratorConfig, realization_index: int = 0) -> WeightedGraph:
     """Structure plus weights for one realization, fully seeded."""
     structure = generate_structure(cfg, realization_index)
-    rng = _stream(cfg, realization_index, _WEIGHT_STREAM)
+    rng = _stream(cfg, realization_index, "weights")
     return assign_weights(structure, cfg, rng)
 
 
@@ -365,16 +376,12 @@ def load_config(path: str | PathLike[str], **overrides) -> GeneratorConfig:
     Keyword overrides replace file values (e.g. ``seed=...`` for a new run).
     """
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            if not eq or key not in _ALL_FIELDS:
-                raise ValueError(f"{path}:{lineno}: unknown config line {line!r}")
-            raw[key] = value.strip()
+    for lineno, line in _data_lines(path):
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq or key not in _ALL_FIELDS:
+            raise ValueError(f"{path}:{lineno}: unknown config line {line!r}")
+        raw[key] = value.strip()
     kwargs: dict[str, object] = {}
     for key, text in raw.items():
         if key in _INT_FIELDS:

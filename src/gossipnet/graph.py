@@ -19,9 +19,10 @@ Label = Hashable
 class NodeProfile:
     """Degree, strength (sum of incident weights) and friendship threshold.
 
-    The threshold is the node's mean incident edge weight; a neighbor whose
-    edge weight strictly exceeds it is a "close friend". Undefined (None)
-    for isolated nodes.
+    The threshold is the node's mean incident edge weight, for display; it
+    is None for isolated nodes. Whether a neighbor is a "close friend" is
+    decided by :func:`gossipnet.cascade.is_close_friend`, not by comparing
+    a weight against this rounded quotient.
     """
 
     label: Label
@@ -227,6 +228,17 @@ def _local_index(
                 if j > i:
                     edge_count += 1
     return nbrs, ladj, edge_count
+
+
+def _forwarding_flags(g: WeightedGraph, v_idx: int, nbrs: list[int]) -> list[bool]:
+    """Whether each of ``nbrs`` forwards gossip about ``v_idx``.
+
+    ``u`` keeps quiet when ``v_idx`` is its close friend: w(u, v) * degree(u)
+    > strength(u), the multiplied-through form of "tie strictly above u's
+    mean tie", exact when all of u's ties weigh the same.
+    """
+    adj, deg, strength = g._adj, g._degrees, g._strengths
+    return [not (adj[u][v_idx] * deg[u] > strength[u]) for u in nbrs]
 
 
 def induced_neighborhood(g: WeightedGraph, v: Label) -> Neighborhood:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cascade import _check_model, _victim_counts
+from .cascade import _models, _victim_counts
 from .graph import WeightedGraph
 
 
@@ -97,6 +97,11 @@ def _spread_value(k: int, count_sum: int) -> float:
     return count_sum / (k * k) if k >= 2 else 0.0
 
 
+def _all_values_sum(values_by_degree: dict[int, list[float]]) -> float:
+    # fsum is exactly rounded, so grouping by degree does not change the sum
+    return math.fsum(v for vals in values_by_degree.values() for v in vals)
+
+
 def _degree_mean(values_by_degree: dict[int, list[float]]) -> DegreeCurve:
     return DegreeCurve(
         {
@@ -141,16 +146,11 @@ def analyze_network(
     clustering curves, the critical degrees of both models (subject to
     ``min_samples``), and the coefficient ratios.
     """
-    _check_model(model)
-    run_u = model in ("unweighted", "both")
-    run_w = model in ("weighted", "both")
+    run_u, run_w = _models(model)
 
     sigma_by_k: dict[int, list[float]] = {}
     beta_by_k: dict[int, list[float]] = {}
     cc_by_k: dict[int, list[float]] = {}
-    sigma_values: list[float] = []
-    beta_values: list[float] = []
-    cc_values: list[float] = []
     n_isolated = 0
     n_leaf = 0
 
@@ -158,7 +158,6 @@ def analyze_network(
         nbrs, n_per, m_per, edge_count = _victim_counts(g, v_idx, run_u, run_w)
         k = len(nbrs)
         cc_v = 2.0 * edge_count / (k * (k - 1)) if k >= 2 else 0.0
-        cc_values.append(cc_v)
         cc_by_k.setdefault(k, []).append(cc_v)
         if k == 0:
             n_isolated += 1
@@ -166,18 +165,14 @@ def analyze_network(
         if k == 1:
             n_leaf += 1
         if run_u:
-            s = _spread_value(k, sum(n_per))
-            sigma_values.append(s)
-            sigma_by_k.setdefault(k, []).append(s)
+            sigma_by_k.setdefault(k, []).append(_spread_value(k, sum(n_per)))
         if run_w:
-            b = _spread_value(k, sum(m_per))
-            beta_values.append(b)
-            beta_by_k.setdefault(k, []).append(b)
+            beta_by_k.setdefault(k, []).append(_spread_value(k, sum(m_per)))
 
     n_victims = g.node_count - n_isolated
-    sigma = math.fsum(sigma_values) / n_victims if run_u and n_victims else None
-    beta = math.fsum(beta_values) / n_victims if run_w and n_victims else None
-    cc = math.fsum(cc_values) / g.node_count if g.node_count else 0.0
+    sigma = _all_values_sum(sigma_by_k) / n_victims if run_u and n_victims else None
+    beta = _all_values_sum(beta_by_k) / n_victims if run_w and n_victims else None
+    cc = _all_values_sum(cc_by_k) / g.node_count if g.node_count else 0.0
 
     sigma_curve = _degree_mean(sigma_by_k) if run_u else None
     beta_curve = _degree_mean(beta_by_k) if run_w else None

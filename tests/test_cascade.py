@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from gossipnet import (
     cascade_weighted,
     fast_victim_spread,
     is_close_friend,
+    summarize,
     victim_spread,
 )
 
@@ -36,6 +39,18 @@ class TestCloseFriend:
         g = build_graph([("s", "v", 7.0), ("v", "t", 1.0)])
         # s's only tie equals its mean tie; the strict inequality fails
         assert is_close_friend(g, "s", "v") is False
+
+    @pytest.mark.parametrize("w", [3.3, 1 / 3])
+    def test_uniform_inexact_weights_make_no_close_friends(self, lesmis, corpus, w):
+        # neither weight is exact in binary, so a node's mean tie can round
+        # below its ties; the rule must still see them as equal
+        for g in [lesmis, *corpus[:20]]:
+            u = build_graph([(a, b, w) for a, b, _ in g.edges()], nodes=g.labels)
+            for v in u.labels:
+                for s, _ in u.neighbors(v):
+                    assert is_close_friend(u, s, v) is False
+            summary = summarize(u)
+            assert summary.beta == summary.sigma
 
     def test_requires_edge(self):
         g = build_graph([("a", "b", 1.0), ("c", "b", 1.0)])
@@ -146,6 +161,16 @@ class TestVictimSpread:
                     assert 1 / k <= o.beta <= o.sigma <= 1.0
 
 
+def assert_kernel_matches_oracle(g):
+    for v in g.labels:
+        naive = victim_spread(g, v)
+        fast = fast_victim_spread(g, v)
+        assert (fast.sigma, fast.beta) == (naive.sigma, naive.beta)
+        assert [(o.originator, o.sigma, o.beta) for o in fast.per_originator] == [
+            (o.originator, o.sigma, o.beta) for o in naive.per_originator
+        ]
+
+
 class TestFastVictimSpread:
     def test_sample_network(self, sample9):
         fv = fast_victim_spread(sample9, "v")
@@ -238,3 +263,31 @@ def test_dominance_and_bounds_hold_everywhere(edges):
             assert r in uw.knowers and r in w.knowers
             assert w.knowers <= uw.knowers
             assert 0 < w.fraction <= uw.fraction <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(
+            st.integers(0, 9), st.integers(0, 9), st.sampled_from([1.0, 2.0, 3.0])
+        ).filter(lambda r: r[0] != r[1]),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_kernel_matches_oracle_with_weight_ties(edges):
+    # small integer weights put many ties exactly at the close-friend threshold
+    assert_kernel_matches_oracle(build_graph(edges))
+
+
+@pytest.mark.parametrize("n", range(5, 41))
+def test_kernel_matches_oracle_on_wheels(n):
+    # W_n: a hub joined to a rim cycle of n - 1 nodes. Rim ties weigh 1, so a
+    # rim node with a spoke of 2 keeps quiet about the hub and one with a
+    # spoke of 1 forwards; the hub's local graph is the rim, diameter ~ n/2
+    rim = n - 1
+    rng = random.Random(n)
+    spokes = [1.0, 2.0] + [float(rng.choice((1, 2))) for _ in range(rim - 2)]
+    records = [(i, (i + 1) % rim, 1.0) for i in range(rim)]
+    records += [("hub", i, w) for i, w in enumerate(spokes)]
+    assert_kernel_matches_oracle(build_graph(records))

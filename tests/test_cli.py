@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from gossipnet import analyze_network, parse_edge_list, project_newman, summarize
-from gossipnet.cli import main
+from gossipnet import GeneratorConfig, analyze_network, parse_edge_list, project_newman, summarize
+from gossipnet.cli import build_parser, main
 from gossipnet.datasets import sample_network
+from gossipnet.generate import _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS
 from gossipnet.ingest import write_edge_list
 
 
@@ -286,6 +289,15 @@ class TestExitCodes:
         assert run("analyze") == 1
         assert run("frobnicate") == 1
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_hopeless_weight_distribution_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "d"
+        code = run(command, "--model", "ER", "--N", "4", "--p", "1.0", "--weight_mean", "-30",
+                   "--realizations", "1", "--out", str(out))
+        assert code == 1
+        assert "floor" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analyze_rerun_byte_identical(self, tmp_path, sample_file):
         trees = []
         for name in ("r1", "r2"):
@@ -293,3 +305,13 @@ class TestExitCodes:
             run("analyze", "--input", str(sample_file), "--out", str(out))
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1]
+
+
+def test_every_config_field_has_one_flag_and_one_config_key():
+    names = {f.name for f in fields(GeneratorConfig)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    own_flags = {"generate": {"help", "out"},
+                 "sweep": {"help", "out", "format", "min_samples", "workers"}}
+    for command, own in own_flags.items():
+        assert {a.dest for a in sub.choices[command]._actions} - own == names
+    assert _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS == names

@@ -59,6 +59,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             cfg.validate()
 
+    def test_resample_needs_mass_above_floor(self):
+        # P(N(mean, 1) > floor) crosses 0.01 between mean -2.33 and -2.32
+        with pytest.raises(ValueError, match="floor"):
+            er(weight_mean=-2.33).validate()
+        er(weight_mean=-2.32).validate()
+        er(weight_mean=-30.0, weight_truncation="clamp").validate()
+
 
 class TestStructure:
     def test_er_edge_count_near_expectation(self):
@@ -266,6 +273,15 @@ class TestConfigFiles:
         path.write_text("N = 20\n")
         with pytest.raises(ValueError, match="model"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufeff# comment\nmodel = ER\nN = 10\np = 0.1\n", "\ufeffmodel = ER\nN = 10\np = 0.1\n"],
+    )
+    def test_byte_order_mark_ignored(self, tmp_path, text):
+        path = tmp_path / "bom.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert load_config(path) == GeneratorConfig(model="ER", N=10, p=0.1)
 
     def test_bundled_configs_load(self):
         from gossipnet.datasets import BUNDLED_CONFIGS, bundled_config
