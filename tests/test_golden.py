@@ -1,9 +1,12 @@
 """Golden outputs: the bytes the CLI writes for fixed seeded invocations.
 
-The digests were recorded before the spread kernel, the analysis surface and
-the edge-list writer were consolidated; a refactor that claims unchanged
-outputs must leave every one of them as it is. A digest covers a whole
-``--out`` tree (relative paths and file contents) or one stdout capture.
+The first nine digests were recorded before the spread kernel, the analysis
+surface and the edge-list writer were consolidated; the ``*_n1000``, WS
+saturation and projected label-order digests were recorded before the
+generators and graph construction stopped recomputing degrees, label indices
+and edge order. A refactor that claims unchanged outputs must leave every one
+of them as it is. A digest covers a whole ``--out`` tree (relative paths and
+file contents) or one stdout capture.
 """
 
 from __future__ import annotations
@@ -24,7 +27,25 @@ N200 = {
 }
 SEED = ["--seed", "7", "--realizations", "2"]
 
+# parameters of the bundled *_n1000 configs, one realization each
+N1000 = {
+    "er": ["--model", "ER", "--N", "1000", "--p", "0.02"],
+    "ba": ["--model", "BA", "--N", "1000", "--m0", "10", "--m", "10"],
+    "ws": ["--model", "WS", "--N", "1000", "--k", "20", "--p", "0.1"],
+}
+
+# a WS ring this dense saturates nodes: with seed 7 the three realizations
+# skip 5 rewires whose node is already adjacent to every other node
+WS_SATURATED = ["--model", "WS", "--N", "8", "--k", "6", "--p", "0.9", "--seed", "7",
+                "--realizations", "3"]
+
 EVENTS = "p1 ana\np1 bo\np1 cy\np2 ana\np2 bo\np3 bo\np3 cy\np3 dee\np3 ed\np4 ed\np1 ana\n"
+
+# label order: fay and gus first appear in the third group, hal (a late
+# record of the first group) comes before them, and solo is alone in a group
+ORDER_EVENTS = (
+    "g1 eve\ng1 cat\ng2 solo\ng3 fay\ng3 cat\ng3 gus\ng1 hal\ng4 gus\ng4 eve\ng3 fay\n"
+)
 
 GOLDEN = {
     "analyze_lesmis": "2ab2f70d31e457d348b0c31a9c055d55519794509174faa62ef60ae3d4f07fd8",
@@ -36,6 +57,12 @@ GOLDEN = {
     "sweep_ws": "0b9ee083e4702ba98cad1d9c012dc0bdf907ec8c57d2d356219f021530b5aa61",
     "project_count": "9d3a8ae42634752f43e5c020055c472f51e4b445486326462c39adae113a233c",
     "project_newman": "fd5c4b64520d31133810c2d16a9b09a732f62dd63c3290b07ad46c0e3998fe60",
+    "generate_ba_n1000": "b729c1ffc7f74d70d94cbe39f38cf6ebaf9fc821ca5e5dfd56bbb5765038fd32",
+    "generate_er_n1000": "699021c0b223c409abcd4c399e9bcfd19cad373bee29bfec6ddb8d69ea2708dd",
+    "generate_ws_n1000": "1e099947cc30f51c3711df9695ff391477dec1b7f63ae70b63de63e9310bec34",
+    "generate_ws_saturated": "fd3ec6cc34b6012ac190bb742b90837f90bb32cac1161c6452b0b5a65bf40e56",
+    "project_out_count": "1071388009ca8e709a20127e69b901298875684dfd4b76e4f4cae90af841de85",
+    "project_out_newman": "bb7e61796ca7c49ffebe7298a30d70b338b315730a4df125d5a1cd7261f9ad4a",
 }
 
 
@@ -80,3 +107,27 @@ def test_project_stdout(tmp_path, capsys, scheme):
     assert main(["project", "--input", str(src), "--scheme", scheme]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[f"project_{scheme}"]
+
+
+@pytest.mark.parametrize("name", sorted(N1000))
+def test_generate_n1000(tmp_path, name):
+    out = tmp_path / "out"
+    argv = ["generate", *N1000[name], "--seed", "7", "--realizations", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert tree_digest(out) == GOLDEN[f"generate_{name}_n1000"]
+
+
+def test_generate_ws_saturated(tmp_path):
+    out = tmp_path / "out"
+    assert main(["generate", *WS_SATURATED, "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN["generate_ws_saturated"]
+
+
+@pytest.mark.parametrize("scheme", ["count", "newman"])
+def test_project_out_label_order(tmp_path, scheme):
+    src = tmp_path / "events.txt"
+    src.write_text(ORDER_EVENTS, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["project", "--input", str(src), "--scheme", scheme,
+                 "--out", str(out / "net.edges")]) == 0
+    assert tree_digest(out) == GOLDEN[f"project_out_{scheme}"]
