@@ -276,9 +276,6 @@ def cmd_project(args: argparse.Namespace) -> int:
         raise _InputError(str(exc)) from exc
     if not events:
         _note(f"warning: {args.input}: no event records, writing empty output")
-        if args.out is not None:
-            Path(args.out).write_text("", encoding="utf-8")
-        return 0
     project = project_count if args.scheme == "count" else project_newman
     g = project(events)
     out = sys.stdout if args.out is None else Path(args.out)

@@ -86,6 +86,8 @@ class GeneratorConfig:
             raise ValueError(f"N must be at least 2, got {self.N}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be positive, got {self.realizations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.weight_stddev < 0:
             raise ValueError(f"weight_stddev must be non-negative, got {self.weight_stddev}")
         if self.weight_stddev == 0 and self.weight_mean <= WEIGHT_FLOOR:
@@ -128,9 +130,13 @@ def _stream(cfg: GeneratorConfig, realization_index: int, part: str) -> np.rando
 
 
 def _er_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
-    iu, ju = np.triu_indices(n, 1)
-    mask = rng.random(iu.shape[0]) < p
-    return list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    # one upper-triangle row per draw: the same doubles in the same order as a
+    # single draw over all pairs, in O(N) memory
+    edges: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+        edges.extend((i, j) for j in hits.tolist())
+    return edges
 
 
 def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -152,7 +158,7 @@ def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> list[tuple[i
     return edges
 
 
-def _ws_edges(n: int, k: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _ws_edges(n: int, k: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
     # ring lattice, then one rewiring pass per lattice edge; rewired ends are
     # redrawn to avoid self-loops and duplicates, skipping saturated nodes
     edge_set: set[tuple[int, int]] = set()
@@ -160,26 +166,22 @@ def _ws_edges(n: int, k: int, p: float, rng: np.random.Generator) -> list[tuple[
         for i in range(n):
             a, b = i, (i + j) % n
             edge_set.add((a, b) if a < b else (b, a))
+    degree = [k] * n
     for j in range(1, k // 2 + 1):
         for i in range(n):
             a, b = i, (i + j) % n
-            key = (a, b) if a < b else (b, a)
-            if rng.random() >= p:
-                continue
-            if len(edge_set) >= n - 1 and _degree_of(edge_set, a) >= n - 1:
+            if rng.random() >= p or degree[a] >= n - 1:
                 continue
             while True:
                 t = int(rng.integers(n))
                 new_key = (a, t) if a < t else (t, a)
                 if t != a and new_key not in edge_set:
-                    edge_set.discard(key)
+                    edge_set.discard((a, b) if a < b else (b, a))
                     edge_set.add(new_key)
+                    degree[b] -= 1
+                    degree[t] += 1
                     break
-    return sorted(edge_set)
-
-
-def _degree_of(edge_set: set[tuple[int, int]], node: int) -> int:
-    return sum(1 for a, b in edge_set if a == node or b == node)
+    return edge_set
 
 
 def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> WeightedGraph:
@@ -196,9 +198,7 @@ def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> Weig
         edges = _ba_edges(cfg.N, cfg.m0, cfg.m, rng)
     else:
         edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
-    return build_graph(
-        [(i, j, 1.0) for i, j in sorted(edges)], nodes=range(cfg.N)
-    )
+    return build_graph([(i, j, 1.0) for i, j in edges], nodes=range(cfg.N))
 
 
 def _node_weights(cfg: GeneratorConfig, n: int, rng: np.random.Generator) -> list[float]:
@@ -374,22 +374,25 @@ def load_config(path: str | PathLike[str], **overrides) -> GeneratorConfig:
     """Read a ``key = value`` config file ('#' comments allowed) and validate.
 
     Keyword overrides replace file values (e.g. ``seed=...`` for a new run).
+    A repeated key or a malformed value raises ValueError naming its line.
     """
-    raw: dict[str, str] = {}
+    kwargs: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in _data_lines(path):
         key, eq, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if not eq or key not in _ALL_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown config line {line!r}")
-        raw[key] = value.strip()
-    kwargs: dict[str, object] = {}
-    for key, text in raw.items():
-        if key in _INT_FIELDS:
-            kwargs[key] = int(text)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(text)
-        else:
-            kwargs[key] = text
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        kind = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
+        try:
+            kwargs[key] = kind(value)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}"
+            ) from None
     if "model" not in kwargs or "N" not in kwargs:
         raise ValueError(f"{path}: config must set at least 'model' and 'N'")
     cfg = replace(GeneratorConfig(**kwargs), **overrides)

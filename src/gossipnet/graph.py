@@ -60,12 +60,12 @@ class WeightedGraph:
 
     def __init__(
         self,
-        labels: tuple[Label, ...],
+        index: dict[Label, int],
         adj: tuple[dict[int, float], ...],
         edge_count: int,
     ):
-        self._labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._labels = tuple(index)
+        self._index = index
         self._adj = adj
         self._degrees = tuple(len(a) for a in adj)
         self._strengths = tuple(math.fsum(a.values()) for a in adj)
@@ -172,38 +172,33 @@ def build_graph(
     and non-positive or non-numeric weights are rejected. Labels listed in
     ``nodes`` are retained even when they appear in no record (isolated
     nodes).
+
+    Dense indices follow first appearance, in ``nodes`` and then in
+    ``records``; neighbor order follows sorted index pairs, so it does not
+    depend on the order of the records.
     """
     index: dict[Label, int] = {}
-    labels: list[Label] = []
-
-    def _idx(label: Label) -> int:
-        i = index.get(label)
-        if i is None:
-            i = len(labels)
-            index[label] = i
-            labels.append(label)
-        return i
-
     if nodes is not None:
         for label in nodes:
-            _idx(label)
+            index.setdefault(label, len(index))
 
     pair_weights: dict[tuple[int, int], float] = {}
     for i_lab, j_lab, w in records:
         if i_lab == j_lab:
             raise ValueError(f"self-loop on node {i_lab!r}")
         w = _check_weight(w)
-        i, j = _idx(i_lab), _idx(j_lab)
+        i = index.setdefault(i_lab, len(index))
+        j = index.setdefault(j_lab, len(index))
         key = (i, j) if i < j else (j, i)
         pair_weights[key] = pair_weights.get(key, 0.0) + w
 
-    adj: list[dict[int, float]] = [dict() for _ in labels]
+    adj: list[dict[int, float]] = [dict() for _ in index]
     for (i, j) in sorted(pair_weights):
         w = pair_weights[(i, j)]
         adj[i][j] = w
         adj[j][i] = w
 
-    return WeightedGraph(tuple(labels), tuple(adj), len(pair_weights))
+    return WeightedGraph(index, tuple(adj), len(pair_weights))
 
 
 def _local_index(

@@ -142,13 +142,7 @@ def _project(
 ) -> WeightedGraph:
     groups = _normalize_events(events)
     records: list[tuple[str, str, float]] = []
-    members_in_order: list[str] = []
-    member_seen: set[str] = set()
     for members in groups.values():
-        for m in members:
-            if m not in member_seen:
-                member_seen.add(m)
-                members_in_order.append(m)
         n = len(members)
         if n < 2:
             continue
@@ -156,7 +150,8 @@ def _project(
         for i in range(n):
             for j in range(i + 1, n):
                 records.append((members[i], members[j], w))
-    return build_graph(records, nodes=members_in_order)
+    # every member is a node, lone ones too, indexed at its first appearance
+    return build_graph(records, nodes=(m for members in groups.values() for m in members))
 
 
 def project_count(

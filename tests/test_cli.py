@@ -267,6 +267,15 @@ class TestProject:
         assert dst.read_text() == ""
         assert "warning" in capsys.readouterr().err
 
+    def test_empty_input_writes_edges_and_labels_in_new_directory(self, tmp_path, capsys):
+        src = tmp_path / "events.txt"
+        src.write_text("")
+        dst = tmp_path / "missing" / "dir" / "x.edges"
+        assert run("project", "--input", str(src), "--out", str(dst)) == 0
+        assert dst.read_text() == ""
+        assert Path(str(dst) + ".labels.csv").read_text() == "index,label\n"
+        assert "warning" in capsys.readouterr().err
+
     def test_projection_then_analysis_equals_in_memory(self, tmp_path):
         src = tmp_path / "events.txt"
         src.write_text("p1 a\np1 b\np1 c\np2 b\np2 c\np2 d\np3 d\np3 e\n")
@@ -296,6 +305,15 @@ class TestExitCodes:
                    "--realizations", "1", "--out", str(out))
         assert code == 1
         assert "floor" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "d"
+        code = run(command, "--model", "ER", "--N", "10", "--p", "0.5", "--seed", "-1",
+                   "--realizations", "1", "--out", str(out))
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_analyze_rerun_byte_identical(self, tmp_path, sample_file):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gossipnet import (
     summarize,
     victim_spread,
 )
-from gossipnet.generate import _pool_size
+from gossipnet.generate import _er_edges, _pool_size
 
 
 def er(n=60, p=0.1, **kw):
@@ -51,6 +52,7 @@ class TestConfigValidation:
             (ws(n=4, k=4), "k < N"),
             (ws(p=None), "probability"),
             (er(realizations=0), "realizations"),
+            (er(seed=-1), "seed"),
             (er(weight_stddev=-1.0), "stddev"),
             (GeneratorConfig(model="ER", N=10, p=0.1, weight_truncation="abs"), "truncation"),
         ],
@@ -89,6 +91,17 @@ class TestStructure:
                 peaks.append(max(g.degree(u) for u in g.labels))
             maxdeg[n] = np.mean(peaks)
         assert maxdeg[400] > maxdeg[100]
+
+    def test_er_memory_is_linear_in_nodes(self):
+        # all N(N-1)/2 pair indices at N=5000 would take about 300 MB
+        tracemalloc.start()
+        try:
+            edges = _er_edges(5000, 0.001, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 11_000 < len(edges) < 14_000
+        assert peak < 16 * 2**20
 
     def test_ws_lattice_when_no_rewiring(self):
         g = generate_structure(ws(n=200, k=4, p=0.0, seed=3), 0)
@@ -264,6 +277,24 @@ class TestConfigFiles:
         path = tmp_path / "bad.cfg"
         path.write_text("model = ER\nN = 10\np = 0.1\nbogus = 3\n")
         with pytest.raises(ValueError, match="bogus"):
+            load_config(path)
+
+    def test_bad_number_names_line_and_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("model = ER\nN = ten\np = 0.1\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:2: N .*'ten'"):
+            load_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("model = ER\nN = 10\np = 0.1\n# edited\np = 0.9\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg:5: p .*line 3"):
+            load_config(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "seed.cfg"
+        path.write_text("model = ER\nN = 10\np = 0.1\nseed = -1\n")
+        with pytest.raises(ValueError, match="seed"):
             load_config(path)
 
     def test_comments_and_required_keys(self, tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from gossipnet import WeightedGraph, induced_neighborhood, realization, summarize
+from gossipnet import GeneratorConfig, WeightedGraph, induced_neighborhood, realization, summarize
 from gossipnet.datasets import bundled_config
 
 nx = pytest.importorskip("networkx")
@@ -51,3 +51,8 @@ def test_bipartite_corpus(bipartite_corpus):
 @pytest.mark.parametrize("name", ["er_n1000", "ba_n1000", "ws_n1000"])
 def test_generated_realization(name):
     assert_structure_matches(realization(bundled_config(name), 0))
+
+
+def test_generated_realization_m1e5():
+    cfg = GeneratorConfig(model="WS", N=10_000, k=20, p=0.1)
+    assert_structure_matches(realization(cfg, 0))
