@@ -52,9 +52,9 @@ class TestConfigValidation:
             (ws(n=4, k=4), "k < N"),
             (ws(p=None), "probability"),
             (er(realizations=0), "realizations"),
-            (er(seed=-1), "seed"),
             (er(weight_stddev=-1.0), "stddev"),
             (GeneratorConfig(model="ER", N=10, p=0.1, weight_truncation="abs"), "truncation"),
+            (er(seed=-1), "seed"),
         ],
     )
     def test_rejects_bad_parameters(self, cfg, match):
