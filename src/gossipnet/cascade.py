@@ -15,8 +15,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graph import Label, WeightedGraph, _forwarding_flags, _local_index
+import numpy as np
+
+from .graph import (
+    Label,
+    WeightedGraph,
+    _forwarding,
+    _forwarding_flags,
+    _local_blocks,
+    _local_index,
+)
 
 MODELS = ("unweighted", "weighted", "both")
 
@@ -113,48 +123,101 @@ def _bfs(
     return dist, tau
 
 
-def _reach_counts(ladj: list[list[int]], fwd: list[bool]) -> list[int]:
-    """Knower count for every originator of one victim.
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component representative of each of ``n`` nodes joined by edges a-b.
+
+    Hooking plus pointer jumping: every round hooks the larger of the two
+    roots of each edge that still crosses components onto the smaller one,
+    then jumps pointers until every node points at its root. Jumping
+    flattens a chain of length L in about log2(L) steps, where label
+    propagation would need a step per hop of the component's diameter.
+    """
+    root = np.arange(n, dtype=np.int32)
+    while a.size:
+        ra, rb = root[a], root[b]
+        crossing = ra != rb
+        if not crossing.any():
+            break
+        a, b, ra, rb = a[crossing], b[crossing], ra[crossing], rb[crossing]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return root
+
+
+def _reach_counts(
+    n: int, a: np.ndarray, b: np.ndarray, fwd: np.ndarray | None
+) -> np.ndarray:
+    """Knower count of every originator among ``n`` local nodes with local
+    edges a-b, where ``fwd`` says which nodes forward (None: all of them).
 
     Forwarding nodes sharing a component of the forwarding-only subgraph
-    reach that whole component plus its non-forwarding boundary; a
-    non-forwarding originator reaches nobody (count 1). With every node
-    forwarding the boundary is empty and the count is the component size.
+    reach that whole component plus its non-forwarding boundary, each
+    boundary node counted once; a non-forwarding originator reaches nobody
+    (count 1). With every node forwarding the boundary is empty and the
+    count is the component size.
     """
-    counts = [1] * len(ladj)
-    seen = [False] * len(ladj)
-    for i in range(len(ladj)):
-        if not fwd[i] or seen[i]:
-            continue
-        seen[i] = True
-        stack = [i]
-        members: list[int] = []
-        boundary: set[int] = set()
-        while stack:
-            x = stack.pop()
-            members.append(x)
-            for y in ladj[x]:
-                if fwd[y]:
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-                else:
-                    boundary.add(y)
-        reach = len(members) + len(boundary)
-        for x in members:
-            counts[x] = reach
-    return counts
+    if fwd is None:
+        root = _components(n, a, b)
+        return np.bincount(root, minlength=n)[root]
+    fa, fb = fwd[a], fwd[b]
+    root = _components(n, a[fa & fb], b[fa & fb])
+    reach = np.bincount(root, minlength=n)
+    # edges with one quiet end: (component of the forwarding end, quiet end),
+    # each distinct pair one more knower for that component
+    mixed = fa != fb
+    sender = np.where(fa, a, b)[mixed]
+    quiet = np.where(fa, b, a)[mixed]
+    pairs = np.sort(root[sender].astype(np.int64) * n + quiet)
+    distinct = np.diff(pairs, prepend=-1) != 0
+    reach += np.bincount(pairs[distinct] // n, minlength=n)
+    return reach[root]
 
 
-def _victim_counts(
-    g: WeightedGraph, v_idx: int, run_u: bool, run_w: bool
-) -> tuple[list[int], list[int] | None, list[int] | None, int]:
-    """Neighbor indices of one victim, the per-originator n_vr and m_vr
-    (None for a model not run), and the edge count among the neighbors."""
-    nbrs, ladj, edge_count = _local_index(g, v_idx)
-    n_per = _reach_counts(ladj, [True] * len(nbrs)) if run_u else None
-    m_per = _reach_counts(ladj, _forwarding_flags(g, v_idx, nbrs)) if run_w else None
-    return nbrs, n_per, m_per, edge_count
+def _slot_counts(
+    g: WeightedGraph, run_u: bool, run_w: bool
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    """Knower counts of every originator of every victim, from one triangle
+    listing and one component pass per block of whole victims.
+
+    Yields (victims, row pointer, a, n_vr, m_vr): the counts are per slot of
+    the victims' rows (None for a model not run) and the row pointer locates
+    each victim's slots among them. ``a`` holds one slot per triangle
+    through each victim, in that victim's row, so it counts triangles.
+    """
+    for victims, slots, ptr, a, b in _local_blocks(g):
+        size = slots.stop - slots.start
+        n_per = _reach_counts(size, a, b, None) if run_u else None
+        m_per = _reach_counts(size, a, b, _forwarding(g, slots)) if run_w else None
+        yield victims, ptr, a, n_per, m_per
+
+
+def _row_totals(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    totals = np.concatenate(([0], np.cumsum(values)))
+    return totals[ptr[1:]] - totals[ptr[:-1]]
+
+
+def _spread_sums(
+    g: WeightedGraph, run_u: bool, run_w: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Per node: degree, triangles through it, and the sums over its
+    originators of n_vr and of m_vr (None for a model not run)."""
+    n = g.node_count
+    degree = np.zeros(n, dtype=np.int64)
+    triangles = np.zeros(n, dtype=np.int64)
+    n_sum = np.zeros(n, dtype=np.int64) if run_u else None
+    m_sum = np.zeros(n, dtype=np.int64) if run_w else None
+    for victims, ptr, a, n_per, m_per in _slot_counts(g, run_u, run_w):
+        degree[victims] = np.diff(ptr)
+        triangles[victims] = _row_totals(ptr, np.bincount(a, minlength=int(ptr[-1])))
+        if run_u:
+            n_sum[victims] = _row_totals(ptr, n_per)
+        if run_w:
+            m_sum[victims] = _row_totals(ptr, m_per)
+    return degree, triangles, n_sum, m_sum
 
 
 def _require_neighbor(g: WeightedGraph, v: Label, r: Label) -> tuple[int, int]:
@@ -253,11 +316,21 @@ def fast_victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> Victi
     bit-identical to the BFS path. Hop counts are not computed here (None).
     """
     run_u, run_w = _models(model)
-    nbrs, n_per, m_per, _ = _victim_counts(g, g.index_of(v), run_u, run_w)
+    v_idx = g.index_of(v)
+    nbrs, ladj, _ = _local_index(g, v_idx)
     k = len(nbrs)
     if k == 0:
         return VictimSpread(victim=v, degree=0, sigma=None, beta=None, per_originator=())
 
+    a, b = np.array(
+        [(i, j) for i in range(k) for j in ladj[i] if j > i], dtype=np.int32
+    ).reshape(-1, 2).T
+    n_per = _reach_counts(k, a, b, None).tolist() if run_u else None
+    m_per = (
+        _reach_counts(k, a, b, np.array(_forwarding_flags(g, v_idx, nbrs))).tolist()
+        if run_w
+        else None
+    )
     outcomes = tuple(
         OriginatorOutcome(
             originator=g.label_of(nbrs[i]),

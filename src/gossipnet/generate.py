@@ -22,7 +22,7 @@ from os import PathLike
 
 import numpy as np
 
-from .graph import WeightedGraph, build_graph
+from .graph import WeightedGraph, _mean_weighted, build_graph
 from .ingest import _data_lines
 from .metrics import (
     CurvePoint,
@@ -88,6 +88,11 @@ class GeneratorConfig:
             raise ValueError(f"realizations must be positive, got {self.realizations}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not (math.isfinite(self.weight_mean) and math.isfinite(self.weight_stddev)):
+            raise ValueError(
+                f"weight_mean and weight_stddev must be finite, got "
+                f"{self.weight_mean!r} and {self.weight_stddev!r}"
+            )
         if self.weight_stddev < 0:
             raise ValueError(f"weight_stddev must be non-negative, got {self.weight_stddev}")
         if self.weight_stddev == 0 and self.weight_mean <= WEIGHT_FLOOR:
@@ -111,6 +116,9 @@ class GeneratorConfig:
         elif self.model == "BA":
             if self.m0 is None or self.m is None:
                 raise ValueError("BA needs m0 (seed clique size) and m (edges per new node)")
+            if self.m0 < 2:
+                # a one-node seed has no edge, so no endpoint to attach to
+                raise ValueError(f"BA needs a seed clique of m0 >= 2 nodes, got m0={self.m0}")
             if not 1 <= self.m <= self.m0:
                 raise ValueError(f"BA needs 1 <= m <= m0, got m={self.m}, m0={self.m0}")
             if not self.m0 < self.N:
@@ -226,11 +234,9 @@ def assign_weights(
     """Re-weight a generated topology with the per-node Gaussian scheme.
 
     One draw per node (in label order), each edge set to the mean of its
-    endpoint values; returns a new graph on the same topology.
+    endpoint values; returns a new graph sharing the topology's arrays.
     """
-    node_w = {label: w for label, w in zip(g.labels, _node_weights(cfg, g.node_count, rng))}
-    records = [(a, b, 0.5 * (node_w[a] + node_w[b])) for a, b, _ in g.edges()]
-    return build_graph(records, nodes=g.labels)
+    return _mean_weighted(g, _node_weights(cfg, g.node_count, rng))
 
 
 def realization(cfg: GeneratorConfig, realization_index: int = 0) -> WeightedGraph:

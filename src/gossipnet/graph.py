@@ -4,15 +4,29 @@ The graph is the substrate every other module works on: node labels are
 mapped to dense 0-based indices internally, adjacency is symmetric, edge
 weights are strictly positive, and duplicate edge records merge by summing
 their weights (co-occurrence counting semantics).
+
+Storage is compressed sparse rows (CSR): row ``v`` holds v's neighbors in
+ascending index order, and each position in a row is a directed *slot*
+v→u. The slot is the unit of the spread kernel: it is the originator u in
+the neighborhood of the victim v.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
 
+import numpy as np
+
 Label = Hashable
+
+#: Wedges closed per batch in the triangle listing, and slots plus local
+#: edges per block of victims handed to the spread kernel. They bound the
+#: temporaries, never the results.
+WEDGE_CHUNK = 1 << 15
+BLOCK_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,27 +63,61 @@ class Neighborhood:
         return len(self.edges)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every CSR row, bit for bit.
+
+    A plain sum already equals fsum for a row of at most two weights (one
+    correctly rounded addition) and for integers summing below 2**53 (every
+    partial sum exact); only the other rows go through fsum.
+    """
+    degree = np.diff(indptr)
+    sums = np.zeros(len(degree))
+    filled = np.flatnonzero(degree)
+    if filled.size:
+        sums[filled] = np.add.reduceat(weights, indptr[filled])
+    fractional = np.concatenate(([0], np.cumsum(weights != np.floor(weights))))
+    inexact = (degree > 2) & (
+        (fractional[indptr[1:]] > fractional[indptr[:-1]]) | (sums >= 2.0**53)
+    )
+    inexact |= ~np.isfinite(sums)  # fsum raises OverflowError here
+    if inexact.any():
+        w, ptr = weights.tolist(), indptr.tolist()
+        for v in np.flatnonzero(inexact).tolist():
+            sums[v] = math.fsum(w[ptr[v]:ptr[v + 1]])
+    return sums
+
+
 class WeightedGraph:
     """Undirected simple graph with positive edge weights, immutable once built.
 
     Construct via :func:`build_graph`. Safe to share across threads or
-    processes; all accessors are read-only.
+    processes; all accessors are read-only and return Python numbers.
     """
 
-    __slots__ = ("_labels", "_index", "_adj", "_degrees", "_strengths", "_edge_count")
+    __slots__ = ("_labels", "_index", "_indptr", "_indices", "_reverse", "_weights",
+                 "_degree", "_strength")
 
     def __init__(
         self,
         index: dict[Label, int],
-        adj: tuple[dict[int, float], ...],
-        edge_count: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        reverse: np.ndarray,
+        weights: np.ndarray,
     ):
         self._labels = tuple(index)
         self._index = index
-        self._adj = adj
-        self._degrees = tuple(len(a) for a in adj)
-        self._strengths = tuple(math.fsum(a.values()) for a in adj)
-        self._edge_count = edge_count
+        self._indptr = _frozen(indptr)
+        self._indices = _frozen(indices)
+        self._reverse = _frozen(reverse)  # slot u→v of each slot v→u, int32
+        self._weights = _frozen(weights)
+        self._degree = _frozen(np.diff(indptr))
+        self._strength = _frozen(_row_sums(indptr, weights))
 
     # -- basic counts -------------------------------------------------------
 
@@ -79,7 +127,7 @@ class WeightedGraph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._indices) // 2
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -87,7 +135,7 @@ class WeightedGraph:
 
     @property
     def isolated_count(self) -> int:
-        return sum(1 for d in self._degrees if d == 0)
+        return int(np.count_nonzero(self._degree == 0))
 
     # -- node-level access --------------------------------------------------
 
@@ -105,31 +153,33 @@ class WeightedGraph:
         return self._labels[index]
 
     def degree(self, label: Label) -> int:
-        return self._degrees[self.index_of(label)]
+        return int(self._degree[self.index_of(label)])
 
     def strength(self, label: Label) -> float:
-        return self._strengths[self.index_of(label)]
+        return float(self._strength[self.index_of(label)])
 
     def neighbors(self, label: Label) -> tuple[tuple[Label, float], ...]:
-        """(neighbor label, edge weight) pairs in deterministic order."""
-        i = self.index_of(label)
-        return tuple((self._labels[j], w) for j, w in self._adj[i].items())
+        """(neighbor label, edge weight) pairs in ascending index order."""
+        row = self._row(self.index_of(label))
+        labels = self._labels
+        return tuple(
+            (labels[j], w)
+            for j, w in zip(self._indices[row].tolist(), self._weights[row].tolist())
+        )
 
     def has_edge(self, a: Label, b: Label) -> bool:
-        return self.index_of(b) in self._adj[self.index_of(a)]
+        return self._slot(self.index_of(a), self.index_of(b)) >= 0
 
     def weight(self, a: Label, b: Label) -> float:
-        i, j = self.index_of(a), self.index_of(b)
-        try:
-            return self._adj[i][j]
-        except KeyError:
-            raise KeyError(f"no edge between {a!r} and {b!r}") from None
+        p = self._slot(self.index_of(a), self.index_of(b))
+        if p < 0:
+            raise KeyError(f"no edge between {a!r} and {b!r}")
+        return float(self._weights[p])
 
     def profile(self, label: Label) -> NodeProfile:
         """Degree, strength and close-friend threshold of one node."""
-        i = self.index_of(label)
-        k = self._degrees[i]
-        s = self._strengths[i]
+        k = self.degree(label)
+        s = self.strength(label)
         return NodeProfile(
             label=label,
             degree=k,
@@ -137,14 +187,26 @@ class WeightedGraph:
             threshold=(s / k) if k > 0 else None,
         )
 
+    def _row(self, i: int) -> slice:
+        return slice(int(self._indptr[i]), int(self._indptr[i + 1]))
+
+    def _slot(self, i: int, j: int) -> int:
+        """Position of the slot i→j, or -1 when there is no such edge."""
+        row = self._row(i)
+        p = row.start + int(np.searchsorted(self._indices[row], j))
+        return p if p < row.stop and self._indices[p] == j else -1
+
     # -- edge iteration ------------------------------------------------------
 
     def edges(self) -> Iterator[tuple[Label, Label, float]]:
         """Every edge exactly once, in dense-index order."""
-        for i, row in enumerate(self._adj):
-            for j, w in row.items():
-                if j > i:
-                    yield self._labels[i], self._labels[j], w
+        rows = np.repeat(np.arange(self.node_count), self._degree)
+        upper = self._indices > rows
+        labels = self._labels
+        for i, j, w in zip(
+            rows[upper].tolist(), self._indices[upper].tolist(), self._weights[upper].tolist()
+        ):
+            yield labels[i], labels[j], w
 
     def __repr__(self) -> str:
         return f"WeightedGraph(N={self.node_count}, M={self.edge_count})"
@@ -167,38 +229,70 @@ def build_graph(
 ) -> WeightedGraph:
     """Build a validated :class:`WeightedGraph` from (i, j, weight) records.
 
-    Duplicate (i, j) pairs merge by summing their weights, matching
-    co-occurrence counting; deduplicated inputs are unaffected. Self-loops
-    and non-positive or non-numeric weights are rejected. Labels listed in
-    ``nodes`` are retained even when they appear in no record (isolated
-    nodes).
+    Duplicate (i, j) pairs merge by summing their weights in record order,
+    matching co-occurrence counting; deduplicated inputs are unaffected.
+    Self-loops and non-positive or non-numeric weights are rejected. Labels
+    listed in ``nodes`` are retained even when they appear in no record
+    (isolated nodes).
 
     Dense indices follow first appearance, in ``nodes`` and then in
-    ``records``; neighbor order follows sorted index pairs, so it does not
-    depend on the order of the records.
+    ``records``; neighbors are in ascending index order, so neighbor order
+    does not depend on the order of the records.
     """
     index: dict[Label, int] = {}
     if nodes is not None:
         for label in nodes:
             index.setdefault(label, len(index))
 
-    pair_weights: dict[tuple[int, int], float] = {}
+    ends = array("q")
+    record_weights = array("d")
     for i_lab, j_lab, w in records:
         if i_lab == j_lab:
             raise ValueError(f"self-loop on node {i_lab!r}")
-        w = _check_weight(w)
-        i = index.setdefault(i_lab, len(index))
-        j = index.setdefault(j_lab, len(index))
-        key = (i, j) if i < j else (j, i)
-        pair_weights[key] = pair_weights.get(key, 0.0) + w
+        if not (type(w) is float and 0.0 < w < math.inf):  # NaN fails too
+            w = _check_weight(w)
+        record_weights.append(w)
+        ends.append(index.setdefault(i_lab, len(index)))
+        ends.append(index.setdefault(j_lab, len(index)))
 
-    adj: list[dict[int, float]] = [dict() for _ in index]
-    for (i, j) in sorted(pair_weights):
-        w = pair_weights[(i, j)]
-        adj[i][j] = w
-        adj[j][i] = w
+    n = len(index)
+    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    keys = np.minimum(pairs[:, 0], pairs[:, 1])
+    keys *= n
+    keys += np.maximum(pairs[:, 0], pairs[:, 1])
+    del pairs, ends
+    pair_keys, pair_of_record = np.unique(keys, return_inverse=True)
+    del keys
+    merged = np.zeros(len(pair_keys))
+    # unbuffered and in record order: each merged weight is the left fold
+    np.add.at(merged, pair_of_record, np.frombuffer(record_weights, dtype=np.float64))
 
-    return WeightedGraph(index, tuple(adj), len(pair_weights))
+    lo, hi = np.divmod(pair_keys, max(n, 1))
+    rows = np.concatenate((lo, hi))
+    cols = np.concatenate((hi, lo))
+    order = np.lexsort((cols, rows))
+    # entry e and entry e + M of rows/cols are the two directions of one edge
+    slot_of = np.empty(len(order), dtype=np.int32)
+    slot_of[order] = np.arange(len(order), dtype=np.int32)
+    reverse = slot_of[(order + len(pair_keys)) % max(len(order), 1)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return WeightedGraph(
+        index, indptr, cols[order], reverse, np.concatenate((merged, merged))[order]
+    )
+
+
+def _mean_weighted(g: WeightedGraph, node_values: Iterable[float]) -> WeightedGraph:
+    """``g``'s topology with every edge weighing the mean of its endpoints'
+    values; ``0.5 * (a + b)`` is commutative, so both slots of an edge get
+    the same bits."""
+    values = np.fromiter(node_values, dtype=np.float64, count=g.node_count)
+    rows = np.repeat(np.arange(g.node_count), g._degree)
+    weights = 0.5 * (values[rows] + values[g._indices])
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0.0)))
+    if bad.size:
+        _check_weight(float(weights[bad[0]]))
+    return WeightedGraph(g._index, g._indptr, g._indices, g._reverse, weights)
 
 
 def _local_index(
@@ -209,31 +303,124 @@ def _local_index(
     Returns (neighbor indices, local adjacency lists, local edge count).
     Local adjacency position ``i`` corresponds to ``nbrs[i]``.
     """
-    adj = g._adj
-    nbrs = list(adj[v_idx].keys())
-    pos = {u: i for i, u in enumerate(nbrs)}
-    ladj: list[list[int]] = [[] for _ in nbrs]
-    edge_count = 0
-    for i, u in enumerate(nbrs):
-        row = ladj[i]
-        for x in adj[u]:
-            j = pos.get(x)
-            if j is not None:
-                row.append(j)
-                if j > i:
-                    edge_count += 1
-    return nbrs, ladj, edge_count
+    indptr, indices = g._indptr, g._indices
+    nbrs = indices[g._row(v_idx)]
+    if not len(nbrs):
+        return [], [], 0
+    # the rows of all neighbors in one gather, then each entry's position
+    # among the neighbors, if it is one
+    sizes = g._degree[nbrs]
+    owner = np.repeat(np.arange(len(nbrs)), sizes)
+    shift = np.repeat(indptr[nbrs] - np.cumsum(sizes) + sizes, sizes)
+    seen = indices[np.arange(len(owner)) + shift]
+    local = np.minimum(np.searchsorted(nbrs, seen), len(nbrs) - 1)
+    hit = nbrs[local] == seen
+    flat = local[hit].tolist()
+    ends = np.cumsum(np.bincount(owner[hit], minlength=len(nbrs))).tolist()
+    ladj = [flat[start:end] for start, end in zip([0, *ends], ends)]
+    return nbrs.tolist(), ladj, len(flat) // 2
 
 
-def _forwarding_flags(g: WeightedGraph, v_idx: int, nbrs: list[int]) -> list[bool]:
-    """Whether each of ``nbrs`` forwards gossip about ``v_idx``.
+def _forwarding(g: WeightedGraph, slots: slice | np.ndarray) -> np.ndarray:
+    """Whether the far end u of each slot v→u forwards gossip about v.
 
-    ``u`` keeps quiet when ``v_idx`` is its close friend: w(u, v) * degree(u)
+    ``u`` keeps quiet when ``v`` is its close friend: w(u, v) * degree(u)
     > strength(u), the multiplied-through form of "tie strictly above u's
     mean tie", exact when all of u's ties weigh the same.
     """
-    adj, deg, strength = g._adj, g._degrees, g._strengths
-    return [not (adj[u][v_idx] * deg[u] > strength[u]) for u in nbrs]
+    u = g._indices[slots]
+    return ~(g._weights[slots] * g._degree[u] > g._strength[u])
+
+
+def _forwarding_flags(g: WeightedGraph, v_idx: int, nbrs: list[int]) -> list[bool]:
+    """Whether each of ``nbrs``, all neighbors of ``v_idx``, forwards gossip
+    about ``v_idx``."""
+    row = g._row(v_idx)
+    return _forwarding(g, row.start + np.searchsorted(g._indices[row], nbrs)).tolist()
+
+
+def _spans(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Consecutive index ranges whose cost sums to at most ``limit``; an item
+    costlier than ``limit`` gets a range of its own."""
+    ends = np.cumsum(cost)
+    cuts = [0]
+    while cuts[-1] < len(cost):
+        done = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
+        cuts.append(max(int(np.searchsorted(ends, done + limit, side="right")), cuts[-1] + 1))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every triangle once, as its three directed slots (x→y, y→z, z→x).
+
+    Wedges are formed at each triangle's lowest vertex in (degree, index)
+    order (Chiba & Nishizeki 1985; Latapy 2008) and closed by a binary
+    search for the slot y→z among the sorted slot keys ``row * N + col``.
+    ``rows`` is the row of every slot.
+    """
+    n = g.node_count
+    indices = g._indices
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g._degree, kind="stable")] = np.arange(n)
+    keys = rows * n + indices
+    out = np.flatnonzero(rank[indices] > rank[rows])  # slots x→y, y above x
+    out_rows = rows[out]
+    del rank
+    # out-slots after each one in its row: the wedges it opens as x→y
+    later = np.cumsum(np.bincount(out_rows, minlength=n))[out_rows] - 1 - np.arange(len(out))
+    del out_rows
+
+    found = tuple([np.empty(0, dtype=np.int32)] for _ in range(3))
+    for q0, q1 in _spans(later, WEDGE_CHUNK):
+        runs = later[q0:q1]
+        first = np.repeat(np.arange(q0, q1), runs)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs, runs)
+        xy, xz = out[first], out[second]
+        wanted = indices[xy] * n + indices[xz]
+        yz = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = keys[yz] == wanted
+        found[0].append(xy[hit].astype(np.int32))
+        found[1].append(yz[hit].astype(np.int32))
+        found[2].append(g._reverse[xz[hit]])
+    del keys, out, later
+    cycle = []
+    for parts in found:
+        cycle.append(np.concatenate(parts))
+        parts.clear()
+    return tuple(cycle)
+
+
+def _local_blocks(
+    g: WeightedGraph,
+) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Local edges of every victim, in blocks of whole victims.
+
+    Yields (victims, slots, row pointer, a, b): the victims' rows span the
+    slots, the row pointer is ``indptr[victims]`` less ``slots.start``, and
+    ``a[i]``-``b[i]`` is an edge between two slots of one victim, as offsets
+    from ``slots.start``. Each triangle (x, y, z) is one local edge in each
+    of N(x), N(y) and N(z).
+    """
+    n = g.node_count
+    indptr, reverse = g._indptr, g._reverse
+    rows = np.repeat(np.arange(n), g._degree)
+    cycle = _triangles(g, rows)
+    cost = g._degree.copy()
+    for slots in cycle:
+        cost += np.bincount(rows[slots], minlength=n)
+    del rows
+    # the local edge in N(x) joins x→y and x→z; in N(y), y→z and y→x; in
+    # N(z), z→x and z→y: each slot of the cycle with its predecessor reversed
+    families = [(cycle[i], cycle[i - 1]) for i in range(3)]
+    for v0, v1 in _spans(cost, BLOCK_SIZE):
+        s0, s1 = int(indptr[v0]), int(indptr[v1])
+        a_parts, b_parts = [], []
+        for own, before in families:
+            inside = np.flatnonzero((own >= s0) & (own < s1))
+            a_parts.append(own[inside] - s0)
+            b_parts.append(reverse[before[inside]] - s0)
+        yield (slice(v0, v1), slice(s0, s1), indptr[v0:v1 + 1] - s0,
+               np.concatenate(a_parts), np.concatenate(b_parts))
 
 
 def induced_neighborhood(g: WeightedGraph, v: Label) -> Neighborhood:

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
-from .cascade import _models, _victim_counts
+import numpy as np
+
+from .cascade import _models, _spread_sums
 from .graph import WeightedGraph
 
 
@@ -92,14 +95,34 @@ class NetworkAnalysis:
     beta_over_sigma_cc_curve: DegreeCurve | None
 
 
-def _spread_value(k: int, count_sum: int) -> float:
-    # degree-1 victims carry no gossip-capable pair: aggregate as 0
-    return count_sum / (k * k) if k >= 2 else 0.0
+def _by_degree(k: np.ndarray, values: np.ndarray) -> dict[int, list[float]]:
+    """Values grouped by degree, as Python floats keyed by Python ints."""
+    order = np.argsort(k, kind="stable")
+    degrees, starts = np.unique(k[order], return_index=True)
+    grouped = values[order].tolist()
+    ends = [*starts[1:].tolist(), len(grouped)]
+    return {
+        d: grouped[s:e] for d, s, e in zip(degrees.tolist(), starts.tolist(), ends)
+    }
+
+
+def _spread_by_degree(k: np.ndarray, count_sums: np.ndarray) -> dict[int, list[float]]:
+    """Spread of every victim (isolated nodes left out) grouped by degree.
+
+    Degree-1 victims carry no gossip-capable pair and aggregate as 0. The
+    operands are exact integers, so each quotient is the one Python's
+    ``count_sum / (k * k)`` gives.
+    """
+    values = np.zeros(len(k))
+    pairs = k >= 2
+    values[pairs] = count_sums[pairs] / (k * k)[pairs]
+    victims = k >= 1
+    return _by_degree(k[victims], values[victims])
 
 
 def _all_values_sum(values_by_degree: dict[int, list[float]]) -> float:
     # fsum is exactly rounded, so grouping by degree does not change the sum
-    return math.fsum(v for vals in values_by_degree.values() for v in vals)
+    return math.fsum(chain.from_iterable(values_by_degree.values()))
 
 
 def _degree_mean(values_by_degree: dict[int, list[float]]) -> DegreeCurve:
@@ -147,27 +170,16 @@ def analyze_network(
     ``min_samples``), and the coefficient ratios.
     """
     run_u, run_w = _models(model)
+    k, triangles, n_sum, m_sum = _spread_sums(g, run_u, run_w)
 
-    sigma_by_k: dict[int, list[float]] = {}
-    beta_by_k: dict[int, list[float]] = {}
-    cc_by_k: dict[int, list[float]] = {}
-    n_isolated = 0
-    n_leaf = 0
-
-    for v_idx in range(g.node_count):
-        nbrs, n_per, m_per, edge_count = _victim_counts(g, v_idx, run_u, run_w)
-        k = len(nbrs)
-        cc_v = 2.0 * edge_count / (k * (k - 1)) if k >= 2 else 0.0
-        cc_by_k.setdefault(k, []).append(cc_v)
-        if k == 0:
-            n_isolated += 1
-            continue
-        if k == 1:
-            n_leaf += 1
-        if run_u:
-            sigma_by_k.setdefault(k, []).append(_spread_value(k, sum(n_per)))
-        if run_w:
-            beta_by_k.setdefault(k, []).append(_spread_value(k, sum(m_per)))
+    cc_values = np.zeros(len(k))
+    pairs = k >= 2
+    cc_values[pairs] = 2.0 * triangles[pairs] / (k * (k - 1))[pairs]
+    cc_by_k = _by_degree(k, cc_values)
+    sigma_by_k = _spread_by_degree(k, n_sum) if run_u else {}
+    beta_by_k = _spread_by_degree(k, m_sum) if run_w else {}
+    n_isolated = int(np.count_nonzero(k == 0))
+    n_leaf = int(np.count_nonzero(k == 1))
 
     n_victims = g.node_count - n_isolated
     sigma = _all_values_sum(sigma_by_k) / n_victims if run_u and n_victims else None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gossipnet import WeightedGraph, build_graph
+from gossipnet.cascade import _slot_counts
 from gossipnet.datasets import les_miserables, sample_network
 
 CORPUS_SEED = 987654321
@@ -49,6 +50,18 @@ def random_bipartite_graph(rng: np.random.Generator) -> WeightedGraph:
                     records.append((f"a{i}", f"b{j}", float(rng.uniform(0.2, 4.0))))
         if records:
             return build_graph(records)
+
+
+def whole_graph_counts(g: WeightedGraph) -> dict[tuple, tuple[int, int]]:
+    """(victim, originator) -> (n_vr, m_vr) from one whole-graph kernel pass."""
+    counts = {}
+    for victims, ptr, _, n_per, m_per in _slot_counts(g, True, True):
+        for v_idx in range(victims.start, victims.stop):
+            v = g.label_of(v_idx)
+            start = int(ptr[v_idx - victims.start])
+            for i, (r, _) in enumerate(g.neighbors(v)):
+                counts[v, r] = (int(n_per[start + i]), int(m_per[start + i]))
+    return counts
 
 
 @pytest.fixture(scope="session")

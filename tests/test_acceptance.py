@@ -29,6 +29,8 @@ from gossipnet.cli import main
 from gossipnet.datasets import bundled_config, sample_network
 from gossipnet.ingest import write_edge_list
 
+from .conftest import whole_graph_counts
+
 
 def report(criterion: str, message: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS - {message}", flush=True)
@@ -139,12 +141,19 @@ def test_c05_dominance_suite(corpus):
 
 def test_c06_fast_path_oracle_equivalence(corpus):
     checked = 0
+    slots = 0
     for g in corpus:
         # network means over non-isolated victims, degree-1 victims as 0
         sigmas: list[float] = []
         betas: list[float] = []
+        counts = whole_graph_counts(g)
+        assert len(counts) == 2 * g.edge_count
         for v in g.labels:
             naive = victim_spread(g, v)
+            for o in naive.per_originator:
+                n, m = counts[v, o.originator]
+                assert (n / naive.degree, m / naive.degree) == (o.sigma, o.beta)
+                slots += 1
             if naive.degree >= 1:
                 sigmas.append(naive.sigma if naive.degree >= 2 else 0.0)
                 betas.append(naive.beta if naive.degree >= 2 else 0.0)
@@ -161,8 +170,9 @@ def test_c06_fast_path_oracle_equivalence(corpus):
         assert summary.beta == math.fsum(betas) / len(betas)
     report(
         "c06",
-        f"component path == per-originator BFS on {checked} victims, and "
-        f"network sigma/beta == oracle means on {len(corpus)} graphs, exact",
+        f"component path == per-originator BFS on {checked} victims, whole-graph "
+        f"kernel == BFS on {slots} slots in both models, and network "
+        f"sigma/beta == oracle means on {len(corpus)} graphs, exact",
     )
 
 

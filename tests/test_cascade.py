@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipnet import (
+    analyze_network,
     build_graph,
     cascade_unweighted,
     cascade_weighted,
@@ -19,7 +20,10 @@ from gossipnet import (
     victim_spread,
 )
 
-from .conftest import random_weighted_graph
+from gossipnet import graph
+from gossipnet.cascade import _components
+
+from .conftest import random_weighted_graph, whole_graph_counts
 
 
 def asymmetric_pair():
@@ -162,8 +166,15 @@ class TestVictimSpread:
 
 
 def assert_kernel_matches_oracle(g):
+    # per victim through fast_victim_spread, and per slot from one
+    # whole-graph pass, both models
+    counts = whole_graph_counts(g)
+    assert len(counts) == 2 * g.edge_count
     for v in g.labels:
         naive = victim_spread(g, v)
+        for o in naive.per_originator:
+            n, m = counts[v, o.originator]
+            assert (n / naive.degree, m / naive.degree) == (o.sigma, o.beta)
         fast = fast_victim_spread(g, v)
         assert (fast.sigma, fast.beta) == (naive.sigma, naive.beta)
         assert [(o.originator, o.sigma, o.beta) for o in fast.per_originator] == [
@@ -291,3 +302,29 @@ def test_kernel_matches_oracle_on_wheels(n):
     records = [(i, (i + 1) % rim, 1.0) for i in range(rim)]
     records += [("hub", i, w) for i, w in enumerate(spokes)]
     assert_kernel_matches_oracle(build_graph(records))
+
+
+def test_blocking_never_changes_counts(corpus, monkeypatch):
+    # one victim per block and one out-slot per wedge batch: every boundary
+    # the block and chunk loops can cut at, on graphs with many triangles
+    graphs = corpus[:30] + [build_graph([(i, j, 1.0 + (i * j) % 3)
+                                         for i in range(12) for j in range(i + 1, 12)])]
+    expected = [analyze_network(g) for g in graphs]
+    monkeypatch.setattr(graph, "BLOCK_SIZE", 1)
+    monkeypatch.setattr(graph, "WEDGE_CHUNK", 1)
+    for g, before in zip(graphs, expected):
+        assert analyze_network(g) == before
+        assert_kernel_matches_oracle(g)
+
+
+def test_components_of_a_long_path_and_a_star():
+    # labels against the hooking order: the path runs from the largest id
+    # down, and the star's center has the largest id
+    n = 1000
+    path = np.arange(n - 1, 0, -1, dtype=np.int32)
+    root = _components(n, path, path - 1)
+    assert (root == root[0]).all()
+    leaves = np.arange(n - 1, dtype=np.int32)
+    root = _components(n + 5, leaves, np.full(n - 1, n - 1, dtype=np.int32))
+    assert len(set(root[:n].tolist())) == 1
+    assert root[n:].tolist() == list(range(n, n + 5))

@@ -316,6 +316,24 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--model", "BA", "--m0", "1", "--m", "1"), "m0 >= 2"),
+            (("--model", "ER", "--p", "0.5", "--weight_mean", "nan"), "finite"),
+            (("--model", "ER", "--p", "0.5", "--weight_stddev", "inf"), "finite"),
+        ],
+    )
+    def test_invalid_generator_parameters_are_usage_errors(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "o"
+        code = run(command, *flags, "--N", "10", "--realizations", "1", "--out", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analyze_rerun_byte_identical(self, tmp_path, sample_file):
         trees = []
         for name in ("r1", "r2"):

@@ -55,6 +55,11 @@ class TestConfigValidation:
             (er(weight_stddev=-1.0), "stddev"),
             (GeneratorConfig(model="ER", N=10, p=0.1, weight_truncation="abs"), "truncation"),
             (er(seed=-1), "seed"),
+            (ba(m0=1, m=1), "m0 >= 2"),
+            (er(weight_mean=math.nan), "finite"),
+            (er(weight_mean=-math.inf), "finite"),
+            (er(weight_stddev=math.inf), "finite"),
+            (er(weight_stddev=math.nan, weight_truncation="clamp"), "finite"),
         ],
     )
     def test_rejects_bad_parameters(self, cfg, match):
@@ -295,6 +300,20 @@ class TestConfigFiles:
         path = tmp_path / "seed.cfg"
         path.write_text("model = ER\nN = 10\np = 0.1\nseed = -1\n")
         with pytest.raises(ValueError, match="seed"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "lines,match",
+        [
+            ("model = BA\nN = 10\nm0 = 1\nm = 1\n", "m0 >= 2"),
+            ("model = ER\nN = 10\np = 0.1\nweight_mean = nan\n", "finite"),
+            ("model = ER\nN = 10\np = 0.1\nweight_stddev = inf\n", "finite"),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, tmp_path, lines, match):
+        path = tmp_path / "bad.cfg"
+        path.write_text(lines)
+        with pytest.raises(ValueError, match=match):
             load_config(path)
 
     def test_comments_and_required_keys(self, tmp_path):

@@ -4,15 +4,20 @@ spread, curves, clustering, critical degree."""
 from __future__ import annotations
 
 import math
+import tracemalloc
+from dataclasses import fields
 
 import pytest
 
 from gossipnet import (
     CurvePoint,
     DegreeCurve,
+    GeneratorConfig,
+    NetworkSummary,
     analyze_network,
     build_graph,
     find_k0,
+    realization,
     summarize,
     victim_spread,
 )
@@ -212,3 +217,37 @@ class TestRatioCurves:
         ratio, ratio_cc = a.beta_over_sigma_curve, a.beta_over_sigma_cc_curve
         assert 1 not in ratio
         assert len(ratio_cc) == 0  # cc is zero everywhere on a path
+
+
+def _plain(value) -> bool:
+    return type(value) in (int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("model", ["both", "unweighted", "weighted"])
+def test_results_are_python_numbers(lesmis, sample9, corpus, model):
+    # a numpy scalar would print as np.float64(...) in the CSV and JSON files
+    graphs = [lesmis, sample9, *corpus[:10],
+              build_graph([("a", "b", 1.0), ("b", "c", 2.0)], nodes=["z"])]
+    for g in graphs:
+        a = analyze_network(g, model)
+        for f in fields(NetworkSummary):
+            assert _plain(getattr(a.summary, f.name)), f.name
+        for curve in (a.sigma_curve, a.beta_curve, a.cc_curve,
+                      a.beta_over_sigma_curve, a.beta_over_sigma_cc_curve):
+            if curve is None:
+                continue
+            for k, point in curve.points.items():
+                assert type(k) is int
+                assert type(point.value) is float and type(point.count) is int
+
+
+def test_analysis_memory_is_bounded():
+    # WS N=10 000, k=20: M = 1e5 and about 3.3e5 triangles
+    g = realization(GeneratorConfig(model="WS", N=10_000, k=20, p=0.1, seed=1), 0)
+    tracemalloc.start()
+    try:
+        analyze_network(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
