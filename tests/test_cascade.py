@@ -15,12 +15,11 @@ from gossipnet import (
     cascade_unweighted,
     cascade_weighted,
     fast_victim_spread,
+    graph,
     is_close_friend,
     summarize,
     victim_spread,
 )
-
-from gossipnet import graph
 from gossipnet.cascade import _components
 
 from .conftest import random_weighted_graph, whole_graph_counts

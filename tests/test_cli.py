@@ -324,6 +324,7 @@ class TestExitCodes:
             (("--model", "ER", "--p", "0.5", "--weight_mean", "nan"), "finite"),
             (("--model", "ER", "--p", "0.5", "--weight_stddev", "inf"), "finite"),
         ],
+        ids=["ba_m0_1", "nan_mean", "inf_stddev"],
     )
     def test_invalid_generator_parameters_are_usage_errors(
         self, tmp_path, capsys, command, flags, message

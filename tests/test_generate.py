@@ -13,6 +13,7 @@ from gossipnet import (
     GeneratorConfig,
     analyze_network,
     assign_weights,
+    build_graph,
     generate_structure,
     load_config,
     realization,
@@ -21,7 +22,7 @@ from gossipnet import (
     summarize,
     victim_spread,
 )
-from gossipnet.generate import _er_edges, _pool_size
+from gossipnet.generate import _er_edges, _node_weights, _pool_size, _stream
 
 
 def er(n=60, p=0.1, **kw):
@@ -149,8 +150,6 @@ class TestWeights:
         assert all(w == 2.0 for _, _, w in g.edges())
 
     def test_edge_weight_formula_with_distinct_node_weights(self):
-        from gossipnet.graph import build_graph
-
         structure = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
         cfg = er(n=3, p=0.5)
         g = assign_weights(structure, cfg, _ScriptedRng([1.0, 2.0, 4.0]))
@@ -199,6 +198,21 @@ class TestWeights:
         assert sorted((a, b) for a, b, _ in g1.edges()) == sorted(
             (a, b) for a, b, _ in g0.edges()
         )
+
+    @pytest.mark.parametrize("cfg", [er(seed=3), ba(seed=4), ws(k=6, seed=5),
+                                     er(weight_mean=0.3, weight_truncation="clamp", seed=6)])
+    def test_reweighted_graph_equals_rebuilt_graph(self, cfg):
+        # the record-by-record rebuild is the reference: same labels,
+        # neighbor order, weight and strength bits
+        node_w = _node_weights(cfg, cfg.N, _stream(cfg, 0, "weights"))
+        records = [(a, b, 0.5 * (node_w[a] + node_w[b]))
+                   for a, b, _ in generate_structure(cfg, 0).edges()]
+        expected = build_graph(records, nodes=range(cfg.N))
+        g = realization(cfg, 0)
+        assert g.labels == expected.labels
+        for v in g.labels:
+            assert g.neighbors(v) == expected.neighbors(v)
+            assert g.strength(v) == expected.strength(v)
 
 
 class TestEnsemble:
@@ -309,6 +323,7 @@ class TestConfigFiles:
             ("model = ER\nN = 10\np = 0.1\nweight_mean = nan\n", "finite"),
             ("model = ER\nN = 10\np = 0.1\nweight_stddev = inf\n", "finite"),
         ],
+        ids=["ba_m0_1", "nan_mean", "inf_stddev"],
     )
     def test_invalid_parameters_rejected(self, tmp_path, lines, match):
         path = tmp_path / "bad.cfg"
