@@ -24,9 +24,11 @@ Label = Hashable
 
 #: Wedges closed per batch in the triangle listing, and slots plus local
 #: edges per block of victims handed to the spread kernel. They bound the
-#: temporaries, never the results.
-WEDGE_CHUNK = 1 << 15
-BLOCK_SIZE = 1 << 16
+#: temporaries, never the results. Every block scans the triangle list, so
+#: a large graph gets at most MAX_BLOCKS larger blocks instead of many.
+WEDGE_CHUNK = 1 << 14
+BLOCK_SIZE = 1 << 15
+MAX_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -412,7 +414,7 @@ def _local_blocks(
     # the local edge in N(x) joins x→y and x→z; in N(y), y→z and y→x; in
     # N(z), z→x and z→y: each slot of the cycle with its predecessor reversed
     families = [(cycle[i], cycle[i - 1]) for i in range(3)]
-    for v0, v1 in _spans(cost, BLOCK_SIZE):
+    for v0, v1 in _spans(cost, max(BLOCK_SIZE, -(-int(cost.sum()) // MAX_BLOCKS))):
         s0, s1 = int(indptr[v0]), int(indptr[v1])
         a_parts, b_parts = [], []
         for own, before in families:

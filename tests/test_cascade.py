@@ -310,6 +310,7 @@ def test_blocking_never_changes_counts(corpus, monkeypatch):
                                          for i in range(12) for j in range(i + 1, 12)])]
     expected = [analyze_network(g) for g in graphs]
     monkeypatch.setattr(graph, "BLOCK_SIZE", 1)
+    monkeypatch.setattr(graph, "MAX_BLOCKS", 10**9)
     monkeypatch.setattr(graph, "WEDGE_CHUNK", 1)
     for g, before in zip(graphs, expected):
         assert analyze_network(g) == before
