@@ -137,8 +137,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_labels(path: Path, g: WeightedGraph) -> None:
-    rows = [{"index": i, "label": lab} for i, lab in enumerate(g.labels)]
-    _write_csv(path, ("index", "label"), rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("index", "label"))
+        writer.writerows(enumerate(map(_cell, g.labels)))
 
 
 # -- commands -----------------------------------------------------------------

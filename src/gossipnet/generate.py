@@ -14,6 +14,7 @@ endpoint values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from os import PathLike
 
 import numpy as np
 
-from .graph import WeightedGraph, _mean_weighted, build_graph
+from .graph import WeightedGraph, _from_pairs, _mean_weighted
 from .ingest import _data_lines
 from .metrics import (
     CurvePoint,
@@ -137,14 +138,14 @@ def _stream(cfg: GeneratorConfig, realization_index: int, part: str) -> np.rando
     return np.random.default_rng(seq)
 
 
-def _er_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # one upper-triangle row per draw: the same doubles in the same order as a
     # single draw over all pairs, in O(N) memory
-    edges: list[tuple[int, int]] = []
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
-        edges.extend((i, j) for j in hits.tolist())
-    return edges
+    rows = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
+    counts = [len(r) for r in rows]
+    return np.column_stack(
+        (np.repeat(np.arange(n - 1), counts), np.concatenate(rows, dtype=np.int64))
+    )
 
 
 def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -201,12 +202,16 @@ def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> Weig
     cfg.validate()
     rng = _stream(cfg, realization_index, "structure")
     if cfg.model == "ER":
-        edges = _er_edges(cfg.N, cfg.p, rng)
-    elif cfg.model == "BA":
-        edges = _ba_edges(cfg.N, cfg.m0, cfg.m, rng)
+        ends = _er_edges(cfg.N, cfg.p, rng)
     else:
-        edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
-    return build_graph([(i, j, 1.0) for i, j in edges], nodes=range(cfg.N))
+        if cfg.model == "BA":
+            edges = _ba_edges(cfg.N, cfg.m0, cfg.m, rng)
+        else:
+            edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
+        flat = itertools.chain.from_iterable(edges)
+        ends = np.fromiter(flat, dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
+    # every pair once, weighing 1
+    return _from_pairs(dict(zip(range(cfg.N), range(cfg.N))), ends, np.ones(len(ends)))
 
 
 def _node_weights(cfg: GeneratorConfig, n: int, rng: np.random.Generator) -> list[float]:

@@ -256,27 +256,41 @@ def build_graph(
         record_weights.append(w)
         ends.append(index.setdefault(i_lab, len(index)))
         ends.append(index.setdefault(j_lab, len(index)))
+    return _from_pairs(
+        index,
+        np.frombuffer(ends, dtype=np.int64).reshape(-1, 2),
+        np.frombuffer(record_weights, dtype=np.float64),
+    )
 
+
+def _from_pairs(index: dict[Label, int], ends: np.ndarray, weights: np.ndarray) -> WeightedGraph:
+    """The graph of validated records: ``ends`` holds the dense indices of
+    each record's two nodes, one row per record, ``weights`` its weight.
+
+    Records of one pair merge by summing their weights in record order.
+    """
     n = len(index)
-    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
-    keys = np.minimum(pairs[:, 0], pairs[:, 1])
+    keys = np.minimum(ends[:, 0], ends[:, 1])
     keys *= n
-    keys += np.maximum(pairs[:, 0], pairs[:, 1])
-    del pairs, ends
+    keys += np.maximum(ends[:, 0], ends[:, 1])
     pair_keys, pair_of_record = np.unique(keys, return_inverse=True)
     del keys
     merged = np.zeros(len(pair_keys))
     # unbuffered and in record order: each merged weight is the left fold
-    np.add.at(merged, pair_of_record, np.frombuffer(record_weights, dtype=np.float64))
+    np.add.at(merged, pair_of_record, weights)
+    del pair_of_record
 
+    m = len(pair_keys)
     lo, hi = np.divmod(pair_keys, max(n, 1))
     rows = np.concatenate((lo, hi))
     cols = np.concatenate((hi, lo))
-    order = np.lexsort((cols, rows))
+    # the sort keys row * n + col are distinct, so this is the (row, col) order
+    order = np.argsort(np.concatenate((pair_keys, hi * n + lo)))
+    del lo, hi, pair_keys
     # entry e and entry e + M of rows/cols are the two directions of one edge
-    slot_of = np.empty(len(order), dtype=np.int32)
-    slot_of[order] = np.arange(len(order), dtype=np.int32)
-    reverse = slot_of[(order + len(pair_keys)) % max(len(order), 1)]
+    slot_of = np.empty(2 * m, dtype=np.int32)
+    slot_of[order] = np.arange(2 * m, dtype=np.int32)
+    reverse = slot_of[(order + m) % max(2 * m, 1)]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return WeightedGraph(

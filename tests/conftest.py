@@ -64,6 +64,16 @@ def whole_graph_counts(g: WeightedGraph) -> dict[tuple, tuple[int, int]]:
     return counts
 
 
+def assert_same_graph(g: WeightedGraph, h: WeightedGraph) -> None:
+    """Same labels and label index, same CSR arrays, same weight and strength bits."""
+    assert g.labels == h.labels
+    assert g._index == h._index
+    for name in ("_indptr", "_indices", "_reverse", "_weights", "_degree", "_strength"):
+        a, b = getattr(g, name), getattr(h, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.fixture(scope="session")
 def corpus() -> list[WeightedGraph]:
     rng = np.random.default_rng(CORPUS_SEED)

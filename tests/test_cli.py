@@ -10,8 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from gossipnet import GeneratorConfig, analyze_network, parse_edge_list, project_newman, summarize
-from gossipnet.cli import build_parser, main
+from gossipnet import (
+    GeneratorConfig,
+    analyze_network,
+    build_graph,
+    parse_edge_list,
+    project_newman,
+    summarize,
+)
+from gossipnet.cli import _write_labels, build_parser, main
 from gossipnet.datasets import sample_network
 from gossipnet.generate import _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS
 from gossipnet.ingest import write_edge_list
@@ -105,6 +112,13 @@ class TestAnalyze:
         g = parse_edge_list(sample_file)
         rows = read_csv(out / "labels.csv")
         assert [r["label"] for r in rows] == [str(lab) for lab in g.labels]
+
+    def test_labels_file_formats_every_label_as_a_cell(self, tmp_path):
+        g = build_graph([(None, True, 1.0), (1.5, "a,b", 1.0), (7, 'q"', 1.0)])
+        _write_labels(tmp_path / "labels.csv", g)
+        assert (tmp_path / "labels.csv").read_bytes() == (
+            b'index,label\n0,\n1,true\n2,1.5\n3,"a,b"\n4,7\n5,"q"""\n'
+        )
 
     def test_bundled_network_row_via_cli(self, tmp_path):
         from importlib import resources

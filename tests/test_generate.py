@@ -22,7 +22,9 @@ from gossipnet import (
     summarize,
     victim_spread,
 )
-from gossipnet.generate import _er_edges, _node_weights, _pool_size, _stream
+from gossipnet.generate import _ba_edges, _er_edges, _node_weights, _pool_size, _stream, _ws_edges
+
+from .conftest import assert_same_graph
 
 
 def er(n=60, p=0.1, **kw):
@@ -198,6 +200,18 @@ class TestWeights:
         assert sorted((a, b) for a, b, _ in g1.edges()) == sorted(
             (a, b) for a, b, _ in g0.edges()
         )
+
+    @pytest.mark.parametrize("cfg", [er(p=0.02, seed=3), ba(seed=4), ws(k=6, p=0.4, seed=5)])
+    def test_structure_equals_graph_built_from_edge_records(self, cfg):
+        rng = _stream(cfg, 2, "structure")
+        if cfg.model == "ER":
+            edges = _er_edges(cfg.N, cfg.p, rng).tolist()
+        elif cfg.model == "BA":
+            edges = _ba_edges(cfg.N, cfg.m0, cfg.m, rng)
+        else:
+            edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
+        expected = build_graph([(i, j, 1.0) for i, j in edges], nodes=range(cfg.N))
+        assert_same_graph(generate_structure(cfg, 2), expected)
 
     @pytest.mark.parametrize("cfg", [er(seed=3), ba(seed=4), ws(k=6, seed=5),
                                      er(weight_mean=0.3, weight_truncation="clamp", seed=6)])

@@ -4,7 +4,9 @@ The first nine digests were recorded before the spread kernel, the analysis
 surface and the edge-list writer were consolidated; the ``*_n1000``, WS
 saturation and projected label-order digests were recorded before the
 generators and graph construction stopped recomputing degrees, label indices
-and edge order. A refactor that claims unchanged outputs must leave every one
+and edge order; the mixed edge-list and seeded event-file digests were
+recorded before edge lists were read in blocks and the projection and the
+generators built their graphs from arrays. A refactor that claims unchanged outputs must leave every one
 of them as it is. A digest covers a whole ``--out`` tree (relative paths and
 file contents) or one stdout capture.
 """
@@ -15,8 +17,10 @@ import hashlib
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gossipnet import ingest
 from gossipnet.cli import main
 
 # parameters of the bundled *_n200 configs, two realizations each
@@ -47,6 +51,59 @@ ORDER_EVENTS = (
     "g1 eve\ng1 cat\ng2 solo\ng3 fay\ng3 cat\ng3 gus\ng1 hal\ng4 gus\ng4 eve\ng3 fay\n"
 )
 
+
+
+def mixed_edge_bytes() -> bytes:
+    """A seeded edge list of about 34 kB whose 2 kB blocks are partly clean
+    and partly hold comments, ``#`` inside labels, non-ASCII labels, tab,
+    vertical-tab and ``\\x1c`` separators, blank lines, CRLF and lone CR
+    endings and ``1_000`` weights; it starts with a byte-order mark, repeats
+    pairs, and its last line has no newline."""
+    rng = np.random.default_rng(20261018)
+    out = ["\ufeff# mixed edge list\n"]
+    for section in range(60):
+        dirty = section % 8 == 7
+        for _ in range(40):
+            a, b = rng.integers(0, 400, size=2).tolist()
+            if a == b:
+                continue
+            w = str(int(rng.integers(1, 6))) if rng.random() < 0.6 else repr(rng.uniform(0.05, 4))
+            la, lb, sep, end = f"n{a}", f"n{b}", " ", "\n"
+            r = rng.random() if dirty else 1.0
+            if r < 0.1:
+                la = f"\u00e9{a}"
+            elif r < 0.2:
+                lb = f"x#{b}"
+            elif r < 0.3:
+                sep = "\t"
+            elif r < 0.4:
+                sep = " \x0b\x1c"
+            elif r < 0.5:
+                end = "\r\n"
+            elif r < 0.6:
+                end = "\r"
+            elif r < 0.65:
+                out.append("# note\n")
+            elif r < 0.7:
+                out.append("  \t\n")
+            elif r < 0.75:
+                w = "1_000"
+            out.append(f"{la}{sep}{lb}{sep}{w}{end}")
+    out[-1] = out[-1].rstrip("\r\n")
+    return "".join(out).encode("utf-8")
+
+
+def seeded_events() -> str:
+    """1500 events of 1 to 9 members over 800 people, records shuffled so that
+    every event is scattered, with repeated members."""
+    rng = np.random.default_rng(8)
+    records = []
+    for e in range(1500):
+        size = int(rng.integers(1, 10))
+        records.extend(f"e{e} p{m}" for m in rng.integers(0, 800, size=size).tolist())
+    return "".join(f"{records[i]}\n" for i in rng.permutation(len(records)).tolist())
+
+
 GOLDEN = {
     "analyze_lesmis": "2ab2f70d31e457d348b0c31a9c055d55519794509174faa62ef60ae3d4f07fd8",
     "generate_er": "1470ee0d4b338ddf16cfb0b1d4e89edb0ccb585e12cda954b633e209b8d061b1",
@@ -63,6 +120,9 @@ GOLDEN = {
     "generate_ws_saturated": "fd3ec6cc34b6012ac190bb742b90837f90bb32cac1161c6452b0b5a65bf40e56",
     "project_out_count": "1071388009ca8e709a20127e69b901298875684dfd4b76e4f4cae90af841de85",
     "project_out_newman": "bb7e61796ca7c49ffebe7298a30d70b338b315730a4df125d5a1cd7261f9ad4a",
+    "analyze_mixed_blocks": "e73d62f3acd3e0d7fe067c8da6e80f220faad9e01b0246187cf8a9e8e4c4bf4d",
+    "project_out_seeded_count": "0eb2919ae945ca53f59cea5d6569f8416a0109b7639ed03f8e0df42332f3ea64",
+    "project_out_seeded_newman": "b625b7f48fb75bccfc95a65f77ddd8ecd468ed93d2bb6e4c0b690af6175baa28",
 }
 
 
@@ -131,3 +191,22 @@ def test_project_out_label_order(tmp_path, scheme):
     assert main(["project", "--input", str(src), "--scheme", scheme,
                  "--out", str(out / "net.edges")]) == 0
     assert tree_digest(out) == GOLDEN[f"project_out_{scheme}"]
+
+
+def test_analyze_mixed_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK", 2048)
+    src = tmp_path / "mixed.edges"
+    src.write_bytes(mixed_edge_bytes())
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN["analyze_mixed_blocks"]
+
+
+@pytest.mark.parametrize("scheme", ["count", "newman"])
+def test_project_out_seeded_events(tmp_path, scheme):
+    src = tmp_path / "events.txt"
+    src.write_text(seeded_events(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["project", "--input", str(src), "--scheme", scheme,
+                 "--out", str(out / "net.edges")]) == 0
+    assert tree_digest(out) == GOLDEN[f"project_out_seeded_{scheme}"]
