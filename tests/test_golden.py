@@ -6,8 +6,9 @@ saturation and projected label-order digests were recorded before the
 generators and graph construction stopped recomputing degrees, label indices
 and edge order; the mixed edge-list and seeded event-file digests were
 recorded before edge lists were read in blocks and the projection and the
-generators built their graphs from arrays. A refactor that claims unchanged outputs must leave every one
-of them as it is. A digest covers a whole ``--out`` tree (relative paths and
+generators built their graphs from arrays; the mixed event-file digests were
+recorded before event files were read in blocks and normalized in numpy. A
+refactor that claims unchanged outputs must leave every one of them as it is. A digest covers a whole ``--out`` tree (relative paths and
 file contents) or one stdout capture.
 """
 
@@ -104,6 +105,49 @@ def seeded_events() -> str:
     return "".join(f"{records[i]}\n" for i in rng.permutation(len(records)).tolist())
 
 
+def mixed_event_bytes() -> bytes:
+    """A seeded event file of about 22 kB whose 2 kB blocks are partly clean
+    and partly hold comments, blank lines, tab, vertical-tab and ``\\x1c``
+    separators, CRLF and lone CR endings, non-ASCII and ``#``-bearing members;
+    it starts with a byte-order mark, scatters and repeats records, has
+    single-member groups, and its last line has no newline."""
+    rng = np.random.default_rng(20261019)
+    records = []
+    for e in range(500):
+        size = 1 if e % 11 == 0 else int(rng.integers(2, 8))
+        for m in rng.integers(0, 600, size=size).tolist():
+            member = f"\u00e9{m}" if m % 13 == 0 else f"x#{m}" if m % 17 == 0 else f"p{m}"
+            records.append((f"g{e}", member))
+    records += [records[i] for i in rng.integers(0, len(records), size=150).tolist()]
+    order = rng.permutation(len(records)).tolist()
+    # records of "#" members go to the dirty sections, the others fill in
+    hashed = [i for i in order if "#" in records[i][1]]
+    plain = [i for i in order if "#" not in records[i][1]]
+    out = ["\ufeff# mixed events\n"]
+    for n in range(len(order)):
+        dirty = (n // 400) % 3 == 2
+        group, member = records[(hashed if dirty and hashed or not plain else plain).pop()]
+        sep, end = " ", "\n"
+        r = rng.random() if dirty else 1.0
+        if r < 0.1:
+            sep = "\t"
+        elif r < 0.2:
+            sep = " \x0b\x1c"
+        elif r < 0.3:
+            end = "\r\n"
+        elif r < 0.4:
+            end = "\r"
+        elif r < 0.45:
+            out.append("# note\n")
+        elif r < 0.5:
+            out.append(" \t\n")
+        elif r < 0.55:
+            out.append("\n")
+        out.append(f"{group}{sep}{member}{end}")
+    out[-1] = out[-1].rstrip("\r\n")
+    return "".join(out).encode("utf-8")
+
+
 GOLDEN = {
     "analyze_lesmis": "2ab2f70d31e457d348b0c31a9c055d55519794509174faa62ef60ae3d4f07fd8",
     "generate_er": "1470ee0d4b338ddf16cfb0b1d4e89edb0ccb585e12cda954b633e209b8d061b1",
@@ -123,6 +167,8 @@ GOLDEN = {
     "analyze_mixed_blocks": "e73d62f3acd3e0d7fe067c8da6e80f220faad9e01b0246187cf8a9e8e4c4bf4d",
     "project_out_seeded_count": "0eb2919ae945ca53f59cea5d6569f8416a0109b7639ed03f8e0df42332f3ea64",
     "project_out_seeded_newman": "b625b7f48fb75bccfc95a65f77ddd8ecd468ed93d2bb6e4c0b690af6175baa28",
+    "project_out_mixed_count": "686b1e6158961f2d53ee4e57ae9840ee79b19f096107f9421d9d4617d04ba1ec",
+    "project_out_mixed_newman": "8d7335ed2ad378e5c2cce16e3bd7b9dcd7bc7a7c4c82c0985903ead05b10d308",
 }
 
 
@@ -210,3 +256,14 @@ def test_project_out_seeded_events(tmp_path, scheme):
     assert main(["project", "--input", str(src), "--scheme", scheme,
                  "--out", str(out / "net.edges")]) == 0
     assert tree_digest(out) == GOLDEN[f"project_out_seeded_{scheme}"]
+
+
+@pytest.mark.parametrize("scheme", ["count", "newman"])
+def test_project_out_mixed_blocks(tmp_path, monkeypatch, scheme):
+    monkeypatch.setattr(ingest, "BLOCK", 2048)
+    src = tmp_path / "events.txt"
+    src.write_bytes(mixed_event_bytes())
+    out = tmp_path / "out"
+    assert main(["project", "--input", str(src), "--scheme", scheme,
+                 "--out", str(out / "net.edges")]) == 0
+    assert tree_digest(out) == GOLDEN[f"project_out_mixed_{scheme}"]
