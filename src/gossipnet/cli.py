@@ -25,7 +25,9 @@ from typing import IO, Mapping
 from . import cascade, generate
 from .generate import GeneratorConfig, realization, run_ensemble
 from .graph import WeightedGraph
-from .ingest import EdgeListError, parse_bipartite, parse_edge_list, project_count, project_newman, write_edge_list
+from .ingest import (
+    _INCREMENTS, EdgeListError, _project, _read_events, parse_edge_list, write_edge_list,
+)
 from .metrics import DegreeCurve, analyze_network
 
 SCHEMA_VERSION = 1
@@ -273,13 +275,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_project(args: argparse.Namespace) -> int:
     try:
-        events = parse_bipartite(args.input)
+        events = _read_events(args.input, "auto")
     except _READ_ERRORS as exc:
         raise _InputError(str(exc)) from exc
-    if not events:
+    if not events.groups:
         _note(f"warning: {args.input}: no event records, writing empty output")
-    project = project_count if args.scheme == "count" else project_newman
-    g = project(events)
+    g = _project(events, _INCREMENTS[args.scheme])
     out = sys.stdout if args.out is None else Path(args.out)
     if args.out is not None and out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

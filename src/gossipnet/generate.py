@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from os import PathLike
 
@@ -322,6 +321,9 @@ def run_ensemble(
     pool_size = _pool_size(workers, cfg.realizations)
     jobs = [(cfg, i, min_samples) for i in range(cfg.realizations)]
     if pool_size > 1:
+        # imported here: it costs every process that never starts a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             analyses = list(pool.map(_summarize_realization, jobs))
     else:

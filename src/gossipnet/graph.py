@@ -13,6 +13,7 @@ the neighborhood of the victim v.
 
 from __future__ import annotations
 
+import bisect
 import math
 from array import array
 from dataclasses import dataclass
@@ -88,9 +89,17 @@ def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     )
     inexact |= ~np.isfinite(sums)  # fsum raises OverflowError here
     if inexact.any():
-        w, ptr = weights.tolist(), indptr.tolist()
-        for v in np.flatnonzero(inexact).tolist():
-            sums[v] = math.fsum(w[ptr[v]:ptr[v + 1]])
+        rows = np.flatnonzero(inexact).tolist()
+        picked = weights[np.repeat(inexact, degree)]  # those rows' weights, row after row
+        ends = np.cumsum(degree[rows]).tolist()
+        # whole rows, about BLOCK_SIZE weights at a time, become Python floats
+        start, lo = 0, 0
+        while start < len(rows):
+            stop = max(start + 1, bisect.bisect_right(ends, lo + BLOCK_SIZE, start))
+            w = picked[lo:ends[stop - 1]].tolist()
+            for v, a, b in zip(rows[start:stop], [lo, *ends[start:stop - 1]], ends[start:stop]):
+                sums[v] = math.fsum(w[a - lo:b - lo])
+            start, lo = stop, ends[stop - 1]
     return sums
 
 

@@ -5,16 +5,18 @@ starting with '#', blank lines ignored, separator auto-detected per file
 (comma if the first data line contains one, whitespace otherwise) with an
 explicit override. Bipartite event format: ``<group-id> <member-label>``
 records; all records sharing a group id form one event, whether or not they
-are consecutive.
+are consecutive. Both formats are read in blocks of whole lines, with the
+errors and line numbers of a line-by-line read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from contextlib import nullcontext
 from os import PathLike
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,8 @@ BLOCK = 1 << 20
 # the ASCII characters str.split() splits on
 _ASCII_SPACE = np.zeros(256, dtype=bool)
 _ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+# the other characters it splits on
+_WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
 
 class EdgeListError(ValueError):
@@ -71,21 +75,43 @@ def parse_edge_list(path: str | PathLike[str], sep: str = "auto") -> WeightedGra
     return _from_pairs(*_read_edges(path, sep))
 
 
-def _read_edges(
-    path: str | PathLike[str], sep: str
-) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """(label index, ends, weights) of an edge-list file's records.
+class _Labels:
+    """Labels interned in order of first appearance. Every field read takes
+    the next position; a label keeps the position of its first field."""
 
-    The file is read in blocks of whole lines. A block of plain whitespace-
-    separated records is split, checked and interned at once; any other
-    block (comments, non-ASCII text, commas, a malformed line) goes through
-    the line loop, which names the first bad line.
+    def __init__(self) -> None:
+        self.first: dict = {}
+        self.positions = itertools.count()
+
+    def intern(self, label) -> int:
+        return self.first.setdefault(label, next(self.positions))
+
+    def intern_all(self, labels: list) -> np.ndarray:
+        return np.fromiter(
+            map(self.first.setdefault, labels, self.positions), dtype=np.int64, count=len(labels)
+        )
+
+    def dense(self) -> tuple[list, np.ndarray]:
+        """(labels in order of first appearance, each position's dense index),
+        in O(fields), where a ``np.unique`` over the positions would sort."""
+        table = np.empty(next(self.positions), dtype=np.int64)
+        table[np.fromiter(self.first.values(), dtype=np.int64, count=len(self.first))] = (
+            np.arange(len(self.first))
+        )
+        return list(self.first), table
+
+
+def _read_blocks(path, sep: str, n_fields: int, fast, slow) -> list[np.ndarray]:
+    """The columns of a file's records, read in blocks of whole lines.
+
+    A block of plain whitespace-separated records is split and checked at
+    once and handed to ``fast(tokens)``; any other block (comments, commas,
+    non-ASCII whitespace, a malformed line), and any block ``fast`` turns
+    down by returning None, goes to the line loop ``slow(chosen, lineno,
+    lines)``, which names the first bad line. Each returns a tuple of
+    arrays, one per column.
     """
-    first: dict[str, int] = {}  # label -> position of its first appearance
-    positions = itertools.count()
-    # an empty part each, so that a file without records concatenates too
-    end_parts = [np.empty(0, dtype=np.int64)]
-    weight_parts = [np.empty(0, dtype=np.float64)]
+    parts = []
     chosen = None
     lineno = 0
     try:
@@ -94,47 +120,60 @@ def _read_edges(
                 if chosen is None:  # picked on the first data line
                     data = (line for _, line in _numbered(lines, 0))
                     chosen = next((_detect_sep(line, sep) for line in data), None)
-                block = _fast_block(lines, first, positions) if chosen == "whitespace" else None
-                if block is None:
-                    block = _line_block(path, sep, chosen, lineno, lines, first, positions)
-                end_parts.append(block[0])
-                weight_parts.append(block[1])
+                tokens = _fast_block(lines, n_fields) if chosen == "whitespace" else None
+                part = None if tokens is None else fast(tokens)
+                parts.append(slow(chosen, lineno, lines) if part is None else part)
                 lineno += len(lines)
     except UnicodeDecodeError:
         # the next block holds undecodable bytes: read it again line by line,
         # so that a malformed line before them is reported first
         with _open_text(path) as fh:
-            rest = itertools.islice(fh, lineno, None)
-            _line_block(path, sep, chosen, lineno, rest, {}, itertools.count())
+            slow(chosen, lineno, itertools.islice(fh, lineno, None))
         raise
-    # dense indices follow first appearance, as build_graph's do
-    dense = np.empty(next(positions), dtype=np.int64)
-    dense[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = np.arange(len(first))
-    return (
-        dict(zip(first, range(len(first)))),
-        dense[np.concatenate(end_parts)].reshape(-1, 2),
-        np.concatenate(weight_parts),
+    if not parts:  # no lines: the line loop's empty columns
+        parts.append(slow(chosen, 0, []))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _read_edges(
+    path: str | PathLike[str], sep: str
+) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """(label index, ends, weights) of an edge-list file's records; dense
+    indices follow first appearance, as build_graph's do."""
+    labels = _Labels()
+    ends, weights = _read_blocks(
+        path, sep, 3,
+        lambda tokens: _fast_edges(tokens, labels),
+        lambda chosen, lineno, lines: _line_block(path, sep, chosen, lineno, lines, labels),
     )
+    names, dense = labels.dense()
+    return dict(zip(names, range(len(names)))), dense[ends].reshape(-1, 2), weights
 
 
-def _fast_block(
-    lines: list[str], first: dict[str, int], positions: Iterator[int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(end positions, weights) of a block of plain whitespace-separated
-    records, or None when any line needs the line loop."""
+def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
+    """The tokens of a block of whitespace-separated records of ``n_fields``
+    fields each, or None when any line needs the line loop."""
     block = "".join(lines)
-    if not block.isascii() or "#" in block:
+    if not block.isascii() and _WIDE_SPACE.search(block):
         return None
     # fields per line: the whitespace just before each token, counted
-    # between the newlines that end the lines (after a leading one)
-    text = np.frombuffer(("\n" + block).encode("ascii"), dtype=np.uint8)
+    # between the newlines that end the lines (after a leading one); bytes
+    # of a non-ASCII character are never whitespace
+    text = np.frombuffer(("\n" + block).encode("utf-8"), dtype=np.uint8)
     space = _ASCII_SPACE[text]
     before_token = np.flatnonzero(space[:-1] & ~space[1:])
     line_starts = np.searchsorted(before_token, np.flatnonzero(text == 10))
     fields = np.diff(line_starts, append=len(before_token))
-    if not np.all((fields == 0) | (fields == 3)):
+    if not np.all((fields == 0) | (fields == n_fields)):
         return None
-    tokens = block.split()
+    if "#" in block and np.any(text[before_token[line_starts[fields > 0]] + 1] == ord("#")):
+        return None  # a comment line
+    return block.split()
+
+
+def _fast_edges(tokens: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarray] | None:
+    """(end positions, weights) of a block's tokens, or None when a weight
+    or a self-loop needs the line loop to report it."""
     try:
         weights = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(tokens) // 3)
     except ValueError:
@@ -142,13 +181,23 @@ def _fast_block(
     if not np.all((weights > 0.0) & (weights < math.inf)):  # NaN fails too
         return None
     del tokens[2::3]
-    ends = np.fromiter(map(first.setdefault, tokens, positions), dtype=np.int64, count=len(tokens))
-    if np.any(ends[0::2] == ends[1::2]):  # a self-loop, which the line loop reports
+    ends = labels.intern_all(tokens)
+    if np.any(ends[0::2] == ends[1::2]):
         return None
     return ends, weights
 
 
-def _line_block(path, sep, chosen, lineno, lines, first, positions):
+def _fields(path, lineno: int, line: str, chosen: str, n_fields: int) -> list[str]:
+    fields = _split(line, chosen)
+    if len(fields) != n_fields:
+        raise EdgeListError(
+            f"{path}:{lineno}: expected {n_fields} fields "
+            f"({chosen}-separated), got {len(fields)}: {line!r}"
+        )
+    return fields
+
+
+def _line_block(path, sep, chosen, lineno, lines, labels):
     """(end positions, weights) of the lines after line ``lineno``, read one
     by one; raises EdgeListError naming the first malformed line."""
     ends: list[int] = []
@@ -156,13 +205,7 @@ def _line_block(path, sep, chosen, lineno, lines, first, positions):
     for lineno, line in _numbered(lines, lineno):
         if chosen is None:
             chosen = _detect_sep(line, sep)
-        fields = _split(line, chosen)
-        if len(fields) != 3:
-            raise EdgeListError(
-                f"{path}:{lineno}: expected 3 fields "
-                f"({chosen}-separated), got {len(fields)}: {line!r}"
-            )
-        a, b, w_text = fields
+        a, b, w_text = _fields(path, lineno, line, chosen, 3)
         try:
             w = float(w_text)
         except ValueError:
@@ -171,8 +214,8 @@ def _line_block(path, sep, chosen, lineno, lines, first, positions):
             raise EdgeListError(f"{path}:{lineno}: weight must be positive, got {w_text!r}")
         if a == b:
             raise EdgeListError(f"{path}:{lineno}: self-loop on {a!r}")
-        ends.append(first.setdefault(a, next(positions)))
-        ends.append(first.setdefault(b, next(positions)))
+        ends.append(labels.intern(a))
+        ends.append(labels.intern(b))
         weights.append(w)
     return np.array(ends, dtype=np.int64), np.array(weights, dtype=np.float64)
 
@@ -222,54 +265,94 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str]) -> No
         fh.write("".join(lines))
 
 
-def parse_bipartite(path: str | PathLike[str], sep: str = "auto") -> dict[str, list[str]]:
-    """Parse group/member records into ordered, deduplicated event groups."""
-    pairs: list[tuple[str, str]] = []
-    chosen = None
-    for lineno, line in _data_lines(path):
+class _Events(NamedTuple):
+    """Event records as dense indices, both in order of first appearance."""
+
+    groups: list
+    members: list
+    group_ids: np.ndarray
+    member_ids: np.ndarray
+
+
+def _events(groups: _Labels, members: _Labels, group_pos, member_pos) -> _Events:
+    group_labels, group_index = groups.dense()
+    member_labels, member_index = members.dense()
+    return _Events(group_labels, member_labels, group_index[group_pos], member_index[member_pos])
+
+
+def _read_events(path: str | PathLike[str], sep: str) -> _Events:
+    """The records of a bipartite event file, read in blocks like an edge list."""
+    groups, members = _Labels(), _Labels()
+    return _events(groups, members, *_read_blocks(
+        path, sep, 2,
+        lambda tokens: (groups.intern_all(tokens[0::2]), members.intern_all(tokens[1::2])),
+        lambda chosen, lineno, lines: _event_lines(
+            path, sep, chosen, lineno, lines, groups, members
+        ),
+    ))
+
+
+def _event_lines(path, sep, chosen, lineno, lines, groups, members):
+    """(group positions, member positions) of the lines after line
+    ``lineno``, read one by one; raises EdgeListError naming the first
+    malformed line."""
+    ids: list[int] = []
+    for lineno, line in _numbered(lines, lineno):
         if chosen is None:
             chosen = _detect_sep(line, sep)
-        fields = _split(line, chosen)
-        if len(fields) != 2:
-            raise EdgeListError(
-                f"{path}:{lineno}: expected 2 fields "
-                f"({chosen}-separated), got {len(fields)}: {line!r}"
-            )
-        pairs.append((fields[0], fields[1]))
-    return _normalize_events(pairs)
+        group, member = _fields(path, lineno, line, chosen, 2)
+        ids.append(groups.intern(group))
+        ids.append(members.intern(member))
+    ids_array = np.array(ids, dtype=np.int64)
+    return ids_array[0::2], ids_array[1::2]
 
 
-def _normalize_events(
+def _to_events(
     events: Mapping[str, Iterable[str]] | Iterable[tuple[str, str]],
-) -> dict[str, list[str]]:
+) -> _Events:
     if isinstance(events, Mapping):
-        pairs: Iterable[tuple[str, str]] = (
-            (g, m) for g, members in events.items() for m in members
-        )
-    else:
-        pairs = events
-    groups: dict[str, list[str]] = {}
-    seen: dict[str, set[str]] = {}
-    for group, member in pairs:
-        members = groups.setdefault(group, [])
-        known = seen.setdefault(group, set())
-        if member not in known:
-            known.add(member)
-            members.append(member)
-    return groups
+        events = ((g, m) for g, members in events.items() for m in members)
+    pairs = list(events)
+    groups, members = _Labels(), _Labels()
+    return _events(groups, members, groups.intern_all([g for g, _ in pairs]),
+                   members.intern_all([m for _, m in pairs]))
 
 
-def _project(
-    events: Mapping[str, Iterable[str]] | Iterable[tuple[str, str]],
-    increment,
-) -> WeightedGraph:
-    groups = _normalize_events(events)
-    # every member is a node, lone ones too, indexed at its first appearance
-    members = list(itertools.chain.from_iterable(groups.values()))
-    index = dict(zip(dict.fromkeys(members), itertools.count()))
-    member_ids = np.fromiter(map(index.__getitem__, members), dtype=np.int64, count=len(members))
-    sizes = np.array([len(m) for m in groups.values()], dtype=np.int64)
+def _normalize(events: _Events) -> tuple[list, np.ndarray, np.ndarray]:
+    """(member labels, member indices, group sizes) of the events without
+    repeats: the first record of each (group, member) pair, group by group,
+    in record order within a group; members are indexed by their first
+    appearance in that sequence."""
+    g, m = events.group_ids, events.member_ids
+    _, kept = np.unique(g * len(events.members) + m, return_index=True)
+    kept = kept[np.lexsort((kept, g[kept]))]
+    m = m[kept]
+    _, first = np.unique(m, return_index=True)  # every member has a kept record
+    order = np.argsort(first)
+    index = np.empty_like(order)
+    index[order] = np.arange(len(order))
+    labels = [events.members[i] for i in order.tolist()]
+    return labels, index[m], np.bincount(g[kept], minlength=len(events.groups))
+
+
+def parse_bipartite(path: str | PathLike[str], sep: str = "auto") -> dict[str, list[str]]:
+    """Parse group/member records into ordered, deduplicated event groups."""
+    events = _read_events(path, sep)
+    labels, member_ids, sizes = _normalize(events)
+    members = [labels[i] for i in member_ids.tolist()]
+    ends = np.cumsum(sizes).tolist()
+    return {g: members[b - n:b] for g, n, b in zip(events.groups, sizes.tolist(), ends)}
+
+
+#: Weight each pair of a group of size n > 1 gains, per projection scheme
+_INCREMENTS = {"count": lambda n: 1.0, "newman": lambda n: 1.0 / (n - 1)}
+
+
+def _project(events: _Events, increment) -> WeightedGraph:
+    labels, member_ids, sizes = _normalize(events)
+    # every member is a node, lone ones too
     group_weights = [increment(n) if n > 1 else 0.0 for n in sizes.tolist()]
+    index = dict(zip(labels, itertools.count()))
     return _from_pairs(index, *_group_pairs(member_ids, sizes, group_weights))
 
 
@@ -291,7 +374,7 @@ def project_count(
     """Co-occurrence projection: every pair in a group gains weight 1, so an
     edge weight is the number of shared events. Members of single-member
     groups become isolated nodes."""
-    return _project(events, lambda n: 1.0)
+    return _project(_to_events(events), _INCREMENTS["count"])
 
 
 def project_newman(
@@ -299,4 +382,4 @@ def project_newman(
 ) -> WeightedGraph:
     """Collaboration projection: every pair in a group of size n gains
     1/(n-1), so each member's strength grows by exactly 1 per event."""
-    return _project(events, lambda n: 1.0 / (n - 1))
+    return _project(_to_events(events), _INCREMENTS["newman"])

@@ -290,6 +290,15 @@ class TestProject:
         assert Path(str(dst) + ".labels.csv").read_text() == "index,label\n"
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "\ufeff", "# comment\n", "\ufeff#a b\r\n\n \t\n#c"])
+    def test_no_event_records(self, tmp_path, capsys, text):
+        src = tmp_path / "events.txt"
+        src.write_text(text, encoding="utf-8")
+        assert run("project", "--input", str(src)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"warning: {src}: no event records" in captured.err
+
     def test_projection_then_analysis_equals_in_memory(self, tmp_path):
         src = tmp_path / "events.txt"
         src.write_text("p1 a\np1 b\np1 c\np2 b\np2 c\np2 d\np3 d\np3 e\n")

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +259,16 @@ class TestEnsemble:
         assert a.summaries == b.summaries
         assert a.mean == b.mean and a.std == b.std
         assert a.sigma_curve == b.sigma_curve
+
+    def test_process_pool_imported_only_when_used(self):
+        # a process that never starts a pool does not pay for importing one
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, gossipnet.cli; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_workers_below_one_rejected(self):
         cfg = ws(n=30, k=4, p=0.2, seed=13, realizations=2)

@@ -8,8 +8,9 @@ and edge order; the mixed edge-list and seeded event-file digests were
 recorded before edge lists were read in blocks and the projection and the
 generators built their graphs from arrays; the mixed event-file digests were
 recorded before event files were read in blocks and normalized in numpy. A
-refactor that claims unchanged outputs must leave every one of them as it is. A digest covers a whole ``--out`` tree (relative paths and
-file contents) or one stdout capture.
+refactor that claims unchanged outputs must leave every one of them as it
+is. A digest covers a whole ``--out`` tree (relative paths and file
+contents) or one stdout capture.
 """
 
 from __future__ import annotations

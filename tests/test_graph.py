@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipnet import build_graph, induced_neighborhood, parse_edge_list, write_edge_list
+from gossipnet import build_graph, graph, induced_neighborhood, parse_edge_list, write_edge_list
 
 from .conftest import random_weighted_graph
 
@@ -178,3 +178,25 @@ def test_record_order_never_changes_edge_set(records, seed):
     assert e1.keys() == e2.keys()
     for key, w in e1.items():
         assert math.isclose(w, e2[key], rel_tol=1e-12)
+
+
+def test_strengths_are_fsum_of_mixed_rows(monkeypatch):
+    # exact integer rows, rows of at most two weights, inexact rows and
+    # integer rows summing past 2**53; the fsum rows go a few at a time
+    monkeypatch.setattr(graph, "BLOCK_SIZE", 7)
+    rng = np.random.default_rng(4)
+    records = []
+    for v in range(400):
+        kind = v % 4
+        size = int(rng.integers(1, 3)) if kind == 1 else int(rng.integers(3, 12))
+        for u in rng.choice(np.arange(400, 900), size=size, replace=False).tolist():
+            if kind == 0:
+                w = float(rng.integers(1, 9))
+            elif kind == 3:
+                w = 2.0**52 + float(rng.integers(1, 9))
+            else:
+                w = float(rng.uniform(0.1, 3.0))
+            records.append((v, u, w))
+    g = build_graph(records)
+    for v in g.labels:
+        assert g.strength(v) == math.fsum(w for _, w in g.neighbors(v))

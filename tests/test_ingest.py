@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -185,10 +186,16 @@ class TestBlockReader:
         p.write_text("".join(lines))
         assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
         assert calls == []
-        lines[30] = "n30 \u00e9 2\n"
+        lines[30] = "n30 \u00e9 2\n"  # non-ASCII, but not whitespace
+        lines[40] = "x#y n41 3\n"  # a "#" that starts no line
         p.write_text("".join(lines))
         assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
-        assert len(calls) == 1 and calls[0] < 30  # only the block of line 31
+        assert calls == []
+        lines[30] = "n30\u2003\u00e9 2\n"  # str.split() splits on U+2003
+        p.write_text("".join(lines))
+        assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
+        assert parse_edge_list(p).has_node("\u00e9")
+        assert len(calls) == 2 and calls[0] == calls[1] < 30  # only the block of line 31
 
     @pytest.mark.parametrize("block", [40, ingest.BLOCK])
     @pytest.mark.parametrize("at", [0, 3, 150, 199])
@@ -373,10 +380,185 @@ class TestParseBipartite:
             parse_bipartite(p)
 
 
+def reference_events(path, sep: str = "auto") -> list[tuple[str, str]]:
+    """The records of an event file read one line at a time: the reader's
+    specification, errors and line numbers included."""
+    records, chosen = [], None
+    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if chosen is None:
+                if sep not in ("auto", "comma", "whitespace"):
+                    raise ValueError(f"bad sep {sep!r}")
+                chosen = sep if sep != "auto" else "comma" if "," in line else "whitespace"
+            if chosen == "comma":
+                fields = [f.strip() for f in line.split(",")]
+            else:
+                fields = line.split()
+            if len(fields) != 2:
+                raise EdgeListError(
+                    f"{path}:{lineno}: expected 2 fields "
+                    f"({chosen}-separated), got {len(fields)}: {line!r}"
+                )
+            records.append((fields[0], fields[1]))
+    return records
+
+
+def read_records(path, sep: str = "auto") -> list[tuple[str, str]]:
+    """The records the block reader returns, as labels, in record order."""
+    events = ingest._read_events(path, sep)
+    return [(events.groups[g], events.members[m])
+            for g, m in zip(events.group_ids.tolist(), events.member_ids.tolist())]
+
+
+def mixed_event_file(rng: np.random.Generator, comma: bool = False) -> bytes:
+    """A seeded event file that mixes plain lines with the cases the reader
+    must hand to its line loop or skip, as ``mixed_edge_file`` does; events
+    are scattered, repeat members and may have one member."""
+    plain = [lab for lab in LABELS if lab.startswith("n")]
+    parts = ["\ufeff" if rng.random() < 0.3 else "", "e0, n0\n" if comma else "e0 n0\n"]
+    for _ in range(int(rng.integers(20, 120))):
+        dirty = rng.random() < 0.15
+        pool = LABELS if dirty and not comma else plain
+        group = f"e{int(rng.integers(0, 12))}" if rng.random() < 0.9 else pool[-1]
+        member = pool[int(rng.integers(len(pool)))]
+        sep = ", " if comma else SEPARATORS[int(rng.integers(len(SEPARATORS)))] if dirty else " "
+        end = ["\n", "\r\n", "\r"][int(rng.integers(3))] if dirty else "\n"
+        if dirty and rng.random() < 0.2:
+            comments = ["# note\n", "  # indented\n", "#e1 n2\n", "\n", " \t \x1c\n", "#\r"]
+            parts.append(comments[int(rng.integers(len(comments)))])
+        parts.append(f"{group}{sep}{member}{end}")
+    if rng.random() < 0.5:
+        parts[-1] = parts[-1].rstrip("\r\n")
+    return "".join(parts).encode("utf-8")
+
+
+def test_wide_space_is_every_non_ascii_space():
+    # the block reader's array path must refuse every character str.split() splits on
+    chars = "".join(map(chr, range(128, sys.maxunicode + 1)))
+    spaces = [c for c in chars if c.isspace()]
+    assert [c for c in spaces if not ingest._WIDE_SPACE.fullmatch(c)] == []
+    assert len(ingest._WIDE_SPACE.findall(chars)) == len(spaces)
+
+
+class TestEventReader:
+    @pytest.mark.parametrize("block", [1, 40, 200, ingest.BLOCK])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_records_as_line_reader(self, tmp_path, monkeypatch, seed, block):
+        monkeypatch.setattr(ingest, "BLOCK", block)
+        p = tmp_path / "events.txt"
+        p.write_bytes(mixed_event_file(np.random.default_rng(seed), comma=seed % 4 == 3))
+        records = reference_events(p)
+        assert read_records(p) == records
+        assert parse_bipartite(p) == reference_groups(records)
+        events = ingest._read_events(p, "auto")
+        for scheme, increment in ingest._INCREMENTS.items():
+            assert_same_graph(ingest._project(events, increment),
+                              reference_projection(records, increment))
+
+    def test_plain_blocks_skip_the_line_loop(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK", 40)
+        calls = []
+        event_lines = ingest._event_lines
+        monkeypatch.setattr(ingest, "_event_lines",
+                            lambda *a: calls.append(a[3]) or event_lines(*a))
+        p = tmp_path / "events.txt"
+        lines = [f"e{i % 7} n{i}\n" for i in range(60)]
+        lines[30] = "e2 \u00e9t\u00e9\n"  # non-ASCII, but not whitespace
+        lines[40] = "x#1 n40\n"
+        p.write_text("".join(lines))
+        assert read_records(p) == reference_events(p)
+        assert calls == []
+        for space in ["\xa0", "\u2003", "\x85", "\u2028"]:  # str.split() splits on them
+            lines[30] = f"e2{space}\u00e9t\u00e9\n"
+            p.write_text("".join(lines))
+            calls.clear()
+            assert read_records(p) == reference_events(p)
+            assert ("e2", "\u00e9t\u00e9") in read_records(p)
+            assert len(calls) == 2 and calls[0] == calls[1] < 30  # only the block of line 31
+
+    @pytest.mark.parametrize("block", [40, ingest.BLOCK])
+    @pytest.mark.parametrize("at", [0, 3, 150, 199])
+    @pytest.mark.parametrize(
+        "bad", ["g", "g a b", "g a b c", "g\x1fa\x1fb", "g a # c", "g\u2003a b"]
+    )
+    def test_same_error_as_line_reader(self, tmp_path, monkeypatch, bad, at, block):
+        monkeypatch.setattr(ingest, "BLOCK", block)
+        lines = [f"g{i % 7} m{i}\n" for i in range(200)]
+        lines[at] = bad + "\n"
+        lines[-1] = "z\n"  # a second error after the first
+        p = tmp_path / "bad.txt"
+        p.write_text("".join(lines))
+        expected = reference_error_events(p)
+        assert f":{at + 1}:" in str(expected)
+        with pytest.raises(EdgeListError) as info:
+            parse_bipartite(p)
+        assert str(info.value) == str(expected)
+
+    @pytest.mark.parametrize("block", [40, ingest.BLOCK])
+    def test_bad_line_before_undecodable_bytes_is_reported(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(ingest, "BLOCK", block)
+        lines = [f"g{i % 5} n{i}\n".encode() for i in range(3000)]
+        lines[5] = b"g a b\n"
+        lines[2500] = b"g \xffn\n"
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(EdgeListError, match=":6:.*2 fields") as info:
+            parse_bipartite(p)
+        assert str(info.value) == str(reference_error_events(p))
+        lines[5] = b"g a\n"
+        p.write_bytes(b"".join(lines))
+        expected = reference_error_events(p)
+        assert isinstance(expected, UnicodeDecodeError)
+        with pytest.raises(UnicodeDecodeError) as info:
+            parse_bipartite(p)
+        assert str(info.value) == str(expected)
+
+    def test_comma_separated(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK", 40)
+        p = tmp_path / "events.csv"
+        p.write_text("# group, member\n" + "".join(f"g{i % 3}, a b{i}\n" for i in range(30)))
+        assert read_records(p) == reference_events(p)
+        assert parse_bipartite(p)["g1"][:2] == ["a b1", "a b4"]
+        p.write_text("g1 a\ng1 b\n")
+        with pytest.raises(EdgeListError) as info:
+            parse_bipartite(p, sep="comma")
+        assert str(info.value) == str(reference_error_events(p, "comma"))
+        assert parse_bipartite(p, sep="whitespace") == {"g1": ["a", "b"]}
+
+    @pytest.mark.parametrize("text", ["", "\ufeff", "# only\n\n  \t\n", "\ufeff#x\r\n#y"])
+    def test_no_records(self, tmp_path, text):
+        p = tmp_path / "events.txt"
+        p.write_text(text, encoding="utf-8")
+        assert parse_bipartite(p) == {}
+        assert read_records(p) == []
+        assert project_count(parse_bipartite(p)).node_count == 0
+
+
+def reference_error_events(path, sep: str = "auto") -> Exception:
+    with pytest.raises(Exception) as info:
+        reference_events(path, sep)
+    return info.value
+
+
+def reference_groups(events) -> dict:
+    """Events as ordered groups of distinct members, built one record at a
+    time from a mapping or from (group, member) records."""
+    groups: dict = {}
+    pairs = ((g, m) for g, ms in events.items() for m in ms) if isinstance(events, dict) else events
+    for group, member in pairs:
+        members = groups.setdefault(group, [])
+        if member not in members:
+            members.append(member)
+    return groups
+
+
 def reference_projection(events, increment):
     """The projection's specification: one record per pair of members of a
     group, group by group, built record by record."""
-    groups = ingest._normalize_events(events)
+    groups = reference_groups(events)
     records = [
         (members[i], members[j], increment(len(members)))
         for members in groups.values()
