@@ -274,7 +274,7 @@ class _Events(NamedTuple):
     member_ids: np.ndarray
 
 
-def _events(groups: _Labels, members: _Labels, group_pos, member_pos) -> _Events:
+def _dense_events(groups: _Labels, members: _Labels, group_pos, member_pos) -> _Events:
     group_labels, group_index = groups.dense()
     member_labels, member_index = members.dense()
     return _Events(group_labels, member_labels, group_index[group_pos], member_index[member_pos])
@@ -283,7 +283,7 @@ def _events(groups: _Labels, members: _Labels, group_pos, member_pos) -> _Events
 def _read_events(path: str | PathLike[str], sep: str) -> _Events:
     """The records of a bipartite event file, read in blocks like an edge list."""
     groups, members = _Labels(), _Labels()
-    return _events(groups, members, *_read_blocks(
+    return _dense_events(groups, members, *_read_blocks(
         path, sep, 2,
         lambda tokens: (groups.intern_all(tokens[0::2]), members.intern_all(tokens[1::2])),
         lambda chosen, lineno, lines: _event_lines(
@@ -314,7 +314,7 @@ def _to_events(
         events = ((g, m) for g, members in events.items() for m in members)
     pairs = list(events)
     groups, members = _Labels(), _Labels()
-    return _events(groups, members, groups.intern_all([g for g, _ in pairs]),
+    return _dense_events(groups, members, groups.intern_all([g for g, _ in pairs]),
                    members.intern_all([m for _, m in pairs]))
 
 
