@@ -13,7 +13,6 @@ the neighborhood of the victim v.
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
 from dataclasses import dataclass
@@ -88,18 +87,9 @@ def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
         (fractional[indptr[1:]] > fractional[indptr[:-1]]) | (sums >= 2.0**53)
     )
     inexact |= ~np.isfinite(sums)  # fsum raises OverflowError here
-    if inexact.any():
-        rows = np.flatnonzero(inexact).tolist()
-        picked = weights[np.repeat(inexact, degree)]  # those rows' weights, row after row
-        ends = np.cumsum(degree[rows]).tolist()
-        # whole rows, about BLOCK_SIZE weights at a time, become Python floats
-        start, lo = 0, 0
-        while start < len(rows):
-            stop = max(start + 1, bisect.bisect_right(ends, lo + BLOCK_SIZE, start))
-            w = picked[lo:ends[stop - 1]].tolist()
-            for v, a, b in zip(rows[start:stop], [lo, *ends[start:stop - 1]], ends[start:stop]):
-                sums[v] = math.fsum(w[a - lo:b - lo])
-            start, lo = stop, ends[stop - 1]
+    ptr = indptr.tolist()
+    for v in np.flatnonzero(inexact).tolist():  # one row at a time becomes Python floats
+        sums[v] = math.fsum(weights[ptr[v]:ptr[v + 1]].tolist())
     return sums
 
 

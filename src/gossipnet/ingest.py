@@ -187,14 +187,19 @@ def _fast_edges(tokens: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndar
     return ends, weights
 
 
-def _fields(path, lineno: int, line: str, chosen: str, n_fields: int) -> list[str]:
-    fields = _split(line, chosen)
-    if len(fields) != n_fields:
-        raise EdgeListError(
-            f"{path}:{lineno}: expected {n_fields} fields "
-            f"({chosen}-separated), got {len(fields)}: {line!r}"
-        )
-    return fields
+def _records(path, sep, chosen, lineno, lines, n_fields) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of the data lines after line ``lineno``, read one
+    by one; raises EdgeListError naming a line without ``n_fields`` fields."""
+    for lineno, line in _numbered(lines, lineno):
+        if chosen is None:
+            chosen = _detect_sep(line, sep)
+        fields = _split(line, chosen)
+        if len(fields) != n_fields:
+            raise EdgeListError(
+                f"{path}:{lineno}: expected {n_fields} fields "
+                f"({chosen}-separated), got {len(fields)}: {line!r}"
+            )
+        yield lineno, fields
 
 
 def _line_block(path, sep, chosen, lineno, lines, labels):
@@ -202,10 +207,7 @@ def _line_block(path, sep, chosen, lineno, lines, labels):
     by one; raises EdgeListError naming the first malformed line."""
     ends: list[int] = []
     weights: list[float] = []
-    for lineno, line in _numbered(lines, lineno):
-        if chosen is None:
-            chosen = _detect_sep(line, sep)
-        a, b, w_text = _fields(path, lineno, line, chosen, 3)
+    for lineno, (a, b, w_text) in _records(path, sep, chosen, lineno, lines, 3):
         try:
             w = float(w_text)
         except ValueError:
@@ -294,17 +296,11 @@ def _read_events(path: str | PathLike[str], sep: str) -> _Events:
 
 def _event_lines(path, sep, chosen, lineno, lines, groups, members):
     """(group positions, member positions) of the lines after line
-    ``lineno``, read one by one; raises EdgeListError naming the first
-    malformed line."""
-    ids: list[int] = []
-    for lineno, line in _numbered(lines, lineno):
-        if chosen is None:
-            chosen = _detect_sep(line, sep)
-        group, member = _fields(path, lineno, line, chosen, 2)
-        ids.append(groups.intern(group))
-        ids.append(members.intern(member))
-    ids_array = np.array(ids, dtype=np.int64)
-    return ids_array[0::2], ids_array[1::2]
+    ``lineno``, read one by one."""
+    ids = [(groups.intern(g), members.intern(m))
+           for _, (g, m) in _records(path, sep, chosen, lineno, lines, 2)]
+    ids_array = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    return ids_array[:, 0], ids_array[:, 1]
 
 
 def _to_events(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipnet import build_graph, graph, induced_neighborhood, parse_edge_list, write_edge_list
+from gossipnet import build_graph, induced_neighborhood, parse_edge_list, write_edge_list
 
 from .conftest import random_weighted_graph
 
@@ -180,10 +180,9 @@ def test_record_order_never_changes_edge_set(records, seed):
         assert math.isclose(w, e2[key], rel_tol=1e-12)
 
 
-def test_strengths_are_fsum_of_mixed_rows(monkeypatch):
+def test_strengths_are_fsum_of_mixed_rows():
     # exact integer rows, rows of at most two weights, inexact rows and
-    # integer rows summing past 2**53; the fsum rows go a few at a time
-    monkeypatch.setattr(graph, "BLOCK_SIZE", 7)
+    # integer rows summing past 2**53
     rng = np.random.default_rng(4)
     records = []
     for v in range(400):
