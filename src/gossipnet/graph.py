@@ -87,9 +87,10 @@ def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
         (fractional[indptr[1:]] > fractional[indptr[:-1]]) | (sums >= 2.0**53)
     )
     inexact |= ~np.isfinite(sums)  # fsum raises OverflowError here
-    ptr = indptr.tolist()
-    for v in np.flatnonzero(inexact).tolist():  # one row at a time becomes Python floats
-        sums[v] = math.fsum(weights[ptr[v]:ptr[v + 1]].tolist())
+    rows = np.flatnonzero(inexact)
+    # one row at a time becomes Python floats
+    for v, a, b in zip(rows.tolist(), indptr[rows].tolist(), indptr[rows + 1].tolist()):
+        sums[v] = math.fsum(weights[a:b].tolist())
     return sums
 
 

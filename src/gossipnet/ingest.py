@@ -101,15 +101,14 @@ class _Labels:
         return list(self.first), table
 
 
-def _read_blocks(path, sep: str, n_fields: int, fast, slow) -> list[np.ndarray]:
+def _read_blocks(path, sep: str, fast, slow) -> list[np.ndarray]:
     """The columns of a file's records, read in blocks of whole lines.
 
-    A block of plain whitespace-separated records is split and checked at
-    once and handed to ``fast(tokens)``; any other block (comments, commas,
-    non-ASCII whitespace, a malformed line), and any block ``fast`` turns
-    down by returning None, goes to the line loop ``slow(chosen, lineno,
-    lines)``, which names the first bad line. Each returns a tuple of
-    arrays, one per column.
+    A whitespace-separated block goes to ``fast(lines)``, which reads plain
+    records at once; any other block (commas), and any block ``fast`` turns
+    down by returning None (comments, non-ASCII whitespace, a malformed
+    line), goes to the line loop ``slow(chosen, lineno, lines)``, which
+    names the first bad line. Each returns a tuple of arrays, one per column.
     """
     parts = []
     chosen = None
@@ -120,8 +119,7 @@ def _read_blocks(path, sep: str, n_fields: int, fast, slow) -> list[np.ndarray]:
                 if chosen is None:  # picked on the first data line
                     data = (line for _, line in _numbered(lines, 0))
                     chosen = next((_detect_sep(line, sep) for line in data), None)
-                tokens = _fast_block(lines, n_fields) if chosen == "whitespace" else None
-                part = None if tokens is None else fast(tokens)
+                part = fast(lines) if chosen == "whitespace" else None
                 parts.append(slow(chosen, lineno, lines) if part is None else part)
                 lineno += len(lines)
     except UnicodeDecodeError:
@@ -142,8 +140,8 @@ def _read_edges(
     indices follow first appearance, as build_graph's do."""
     labels = _Labels()
     ends, weights = _read_blocks(
-        path, sep, 3,
-        lambda tokens: _fast_edges(tokens, labels),
+        path, sep,
+        lambda lines: _fast_edges(lines, labels),
         lambda chosen, lineno, lines: _line_block(path, sep, chosen, lineno, lines, labels),
     )
     names, dense = labels.dense()
@@ -171,9 +169,12 @@ def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
     return block.split()
 
 
-def _fast_edges(tokens: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarray] | None:
-    """(end positions, weights) of a block's tokens, or None when a weight
-    or a self-loop needs the line loop to report it."""
+def _fast_edges(lines: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarray] | None:
+    """(end positions, weights) of a block of plain records, or None when
+    any line needs the line loop."""
+    tokens = _fast_block(lines, 3)
+    if tokens is None:
+        return None
     try:
         weights = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(tokens) // 3)
     except ValueError:
@@ -286,12 +287,21 @@ def _read_events(path: str | PathLike[str], sep: str) -> _Events:
     """The records of a bipartite event file, read in blocks like an edge list."""
     groups, members = _Labels(), _Labels()
     return _dense_events(groups, members, *_read_blocks(
-        path, sep, 2,
-        lambda tokens: (groups.intern_all(tokens[0::2]), members.intern_all(tokens[1::2])),
+        path, sep,
+        lambda lines: _fast_events(lines, groups, members),
         lambda chosen, lineno, lines: _event_lines(
             path, sep, chosen, lineno, lines, groups, members
         ),
     ))
+
+
+def _fast_events(lines: list[str], groups: _Labels, members: _Labels):
+    """(group positions, member positions) of a block of plain records, or
+    None when any line needs the line loop."""
+    tokens = _fast_block(lines, 2)
+    if tokens is None:
+        return None
+    return groups.intern_all(tokens[0::2]), members.intern_all(tokens[1::2])
 
 
 def _event_lines(path, sep, chosen, lineno, lines, groups, members):
@@ -311,7 +321,7 @@ def _to_events(
     pairs = list(events)
     groups, members = _Labels(), _Labels()
     return _dense_events(groups, members, groups.intern_all([g for g, _ in pairs]),
-                   members.intern_all([m for _, m in pairs]))
+                         members.intern_all([m for _, m in pairs]))
 
 
 def _normalize(events: _Events) -> tuple[list, np.ndarray, np.ndarray]:
