@@ -91,14 +91,14 @@ class _Labels:
             map(self.first.setdefault, labels, self.positions), dtype=np.int64, count=len(labels)
         )
 
-    def dense(self) -> tuple[list, np.ndarray]:
-        """(labels in order of first appearance, each position's dense index),
-        in O(fields), where a ``np.unique`` over the positions would sort."""
+    def dense(self, positions: np.ndarray) -> tuple[list, np.ndarray]:
+        """(labels in order of first appearance, the dense index of each of
+        ``positions``), in O(fields), where a ``np.unique`` would sort."""
         table = np.empty(next(self.positions), dtype=np.int64)
         table[np.fromiter(self.first.values(), dtype=np.int64, count=len(self.first))] = (
             np.arange(len(self.first))
         )
-        return list(self.first), table
+        return list(self.first), table[positions]
 
 
 def _read_blocks(path, sep: str, fast, slow) -> list[np.ndarray]:
@@ -144,8 +144,8 @@ def _read_edges(
         lambda lines: _fast_edges(lines, labels),
         lambda chosen, lineno, lines: _line_block(path, sep, chosen, lineno, lines, labels),
     )
-    names, dense = labels.dense()
-    return dict(zip(names, range(len(names)))), dense[ends].reshape(-1, 2), weights
+    names, ends = labels.dense(ends)
+    return dict(zip(names, range(len(names)))), ends.reshape(-1, 2), weights
 
 
 def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
@@ -272,27 +272,22 @@ class _Events(NamedTuple):
     """Event records as dense indices, both in order of first appearance."""
 
     groups: list
-    members: list
     group_ids: np.ndarray
+    members: list
     member_ids: np.ndarray
-
-
-def _dense_events(groups: _Labels, members: _Labels, group_pos, member_pos) -> _Events:
-    group_labels, group_index = groups.dense()
-    member_labels, member_index = members.dense()
-    return _Events(group_labels, member_labels, group_index[group_pos], member_index[member_pos])
 
 
 def _read_events(path: str | PathLike[str], sep: str) -> _Events:
     """The records of a bipartite event file, read in blocks like an edge list."""
     groups, members = _Labels(), _Labels()
-    return _dense_events(groups, members, *_read_blocks(
+    group_pos, member_pos = _read_blocks(
         path, sep,
         lambda lines: _fast_events(lines, groups, members),
         lambda chosen, lineno, lines: _event_lines(
             path, sep, chosen, lineno, lines, groups, members
         ),
-    ))
+    )
+    return _Events(*groups.dense(group_pos), *members.dense(member_pos))
 
 
 def _fast_events(lines: list[str], groups: _Labels, members: _Labels):
@@ -320,8 +315,8 @@ def _to_events(
         events = ((g, m) for g, members in events.items() for m in members)
     pairs = list(events)
     groups, members = _Labels(), _Labels()
-    return _dense_events(groups, members, groups.intern_all([g for g, _ in pairs]),
-                         members.intern_all([m for _, m in pairs]))
+    return _Events(*groups.dense(groups.intern_all([g for g, _ in pairs])),
+                   *members.dense(members.intern_all([m for _, m in pairs])))
 
 
 def _normalize(events: _Events) -> tuple[list, np.ndarray, np.ndarray]:
