@@ -105,9 +105,9 @@ def _read_blocks(path, sep: str, fast, slow) -> list[np.ndarray]:
     """The columns of a file's records, read in blocks of whole lines.
 
     A whitespace-separated block goes to ``fast(lines)``, which reads plain
-    records at once; any other block (commas), and any block ``fast`` turns
-    down by returning None (comments, non-ASCII whitespace, a malformed
-    line), goes to the line loop ``slow(chosen, lineno, lines)``, which
+    records and comment lines at once; any other block (commas), and any
+    block ``fast`` turns down by returning None (non-ASCII whitespace, a
+    malformed line), goes to the line loop ``slow(chosen, lineno, lines)``, which
     names the first bad line. Each returns a tuple of arrays, one per column.
     """
     parts = []
@@ -162,11 +162,16 @@ def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
     before_token = np.flatnonzero(space[:-1] & ~space[1:])
     line_starts = np.searchsorted(before_token, np.flatnonzero(text == 10))
     fields = np.diff(line_starts, append=len(before_token))
-    if not np.all((fields == 0) | (fields == n_fields)):
+    comment = np.zeros(len(fields), dtype=bool)  # a line whose first token starts with "#"
+    if "#" in block:
+        filled = np.flatnonzero(fields)
+        comment[filled] = text[before_token[line_starts[filled]] + 1] == ord("#")
+    if not np.all((fields == 0) | (fields == n_fields) | comment):
         return None
-    if "#" in block and np.any(text[before_token[line_starts[fields > 0]] + 1] == ord("#")):
-        return None  # a comment line
-    return block.split()
+    tokens = block.split()
+    if comment.any():
+        tokens = list(itertools.compress(tokens, np.repeat(~comment, fields).tolist()))
+    return tokens
 
 
 def _fast_edges(lines: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarray] | None:

@@ -259,12 +259,29 @@ def test_project_out_seeded_events(tmp_path, scheme):
     assert tree_digest(out) == GOLDEN[f"project_out_seeded_{scheme}"]
 
 
+# str.split() reads U+00A0 and U+2003 as the separators they replace, so the
+# records and the digests stay, while the block reader reads those blocks
+# line by line
+WIDE_SPACES = {"": "\x0b\x1c", "nbsp": "\xa0", "emsp": "\u2003"}
+
+
+@pytest.mark.parametrize("wide", sorted(WIDE_SPACES))
 @pytest.mark.parametrize("scheme", ["count", "newman"])
-def test_project_out_mixed_blocks(tmp_path, monkeypatch, scheme):
+def test_project_out_mixed_blocks(tmp_path, monkeypatch, scheme, wide):
     monkeypatch.setattr(ingest, "BLOCK", 2048)
     src = tmp_path / "events.txt"
-    src.write_bytes(mixed_event_bytes())
+    src.write_bytes(mixed_event_bytes().replace(b"\x0b\x1c", WIDE_SPACES[wide].encode()))
     out = tmp_path / "out"
     assert main(["project", "--input", str(src), "--scheme", scheme,
                  "--out", str(out / "net.edges")]) == 0
     assert tree_digest(out) == GOLDEN[f"project_out_mixed_{scheme}"]
+
+
+@pytest.mark.parametrize("wide", ["nbsp", "emsp"])
+def test_analyze_mixed_line_loop_blocks(tmp_path, monkeypatch, wide):
+    monkeypatch.setattr(ingest, "BLOCK", 2048)
+    src = tmp_path / "mixed.edges"
+    src.write_bytes(mixed_edge_bytes().replace(b"\x0b\x1c", WIDE_SPACES[wide].encode()))
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN["analyze_mixed_blocks"]

@@ -188,6 +188,7 @@ class TestBlockReader:
         assert calls == []
         lines[30] = "n30 \u00e9 2\n"  # non-ASCII, but not whitespace
         lines[40] = "x#y n41 3\n"  # a "#" that starts no line
+        lines[50] = " \x1c#n50 n51 1\n"  # a comment line
         p.write_text("".join(lines))
         assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
         assert calls == []
@@ -468,6 +469,7 @@ class TestEventReader:
         lines = [f"e{i % 7} n{i}\n" for i in range(60)]
         lines[30] = "e2 \u00e9t\u00e9\n"  # non-ASCII, but not whitespace
         lines[40] = "x#1 n40\n"
+        lines[50] = "\t#e1 n50\n"  # a comment line
         p.write_text("".join(lines))
         assert read_records(p) == reference_events(p)
         assert calls == []
