@@ -105,10 +105,11 @@ def _read_blocks(path, sep: str, fast, slow) -> list[np.ndarray]:
     """The columns of a file's records, read in blocks of whole lines.
 
     A whitespace-separated block goes to ``fast(lines)``, which reads plain
-    records and comment lines at once; any other block (commas), and any
+    records and comment lines at once. Any other block (commas), and any
     block ``fast`` turns down by returning None (non-ASCII whitespace, a
-    malformed line), goes to the line loop ``slow(chosen, lineno, lines)``, which
-    names the first bad line. Each returns a tuple of arrays, one per column.
+    malformed line), goes to the line loop ``slow(chosen, lineno, lines)``,
+    which names the first bad line. Each returns a tuple of arrays, one per
+    column.
     """
     parts = []
     chosen = None
@@ -188,7 +189,7 @@ def _fast_edges(lines: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarr
         return None
     del tokens[2::3]
     ends = labels.intern_all(tokens)
-    if np.any(ends[0::2] == ends[1::2]):
+    if np.any(ends[0::2] == ends[1::2]):  # a self-loop, which the line loop reports
         return None
     return ends, weights
 
