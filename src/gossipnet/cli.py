@@ -26,7 +26,7 @@ from . import cascade, generate
 from .generate import GeneratorConfig, realization, run_ensemble
 from .graph import WeightedGraph
 from .ingest import (
-    _INCREMENTS, EdgeListError, _project, _read_events, parse_edge_list, write_edge_list,
+    EdgeListError, _read_events, parse_edge_list, project_count, project_newman, write_edge_list,
 )
 from .metrics import DegreeCurve, analyze_network
 
@@ -280,7 +280,8 @@ def cmd_project(args: argparse.Namespace) -> int:
         raise _InputError(str(exc)) from exc
     if not events.groups:
         _note(f"warning: {args.input}: no event records, writing empty output")
-    g = _project(events, _INCREMENTS[args.scheme])
+    project = project_count if args.scheme == "count" else project_newman
+    g = project(events)
     out = sys.stdout if args.out is None else Path(args.out)
     if args.out is not None and out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

