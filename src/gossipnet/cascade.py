@@ -26,6 +26,7 @@ from .graph import (
     _forwarding_flags,
     _local_blocks,
     _local_index,
+    _slot,
 )
 
 MODELS = ("unweighted", "weighted", "both")
@@ -94,7 +95,7 @@ def is_close_friend(g: WeightedGraph, s: Label, v: Label) -> bool:
     """
     if not g.has_edge(s, v):
         raise ValueError(f"no edge between {s!r} and {v!r}")
-    return not _forwarding_flags(g, g.index_of(v), [g.index_of(s)])[0]
+    return not _forwarding(g, _slot(g, g.index_of(v), g.index_of(s)))
 
 
 def _bfs(
@@ -228,10 +229,9 @@ def _require_neighbor(g: WeightedGraph, v: Label, r: Label) -> tuple[int, int]:
 
 def _cascade(g: WeightedGraph, v: Label, r: Label, weighted: bool) -> CascadeResult:
     v_idx, r_idx = _require_neighbor(g, v, r)
-    nbrs, ladj, _ = _local_index(g, v_idx)
-    start = nbrs.index(r_idx)
-    fwd = _forwarding_flags(g, v_idx, nbrs) if weighted else None
-    dist, tau = _bfs(ladj, start, fwd)
+    nbrs, ladj = _local_index(g, v_idx)
+    fwd = _forwarding_flags(g, v_idx) if weighted else None
+    dist, tau = _bfs(ladj, nbrs.index(r_idx), fwd)
     knowers = frozenset(g.label_of(nbrs[i]) for i in dist)
     return CascadeResult(
         victim=v,
@@ -268,19 +268,18 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
     """
     run_u, run_w = _models(model)
     v_idx = g.index_of(v)
-    nbrs, ladj, _ = _local_index(g, v_idx)
+    nbrs, ladj = _local_index(g, v_idx)
     k = len(nbrs)
     if k == 0:
         return VictimSpread(victim=v, degree=0, sigma=None, beta=None, per_originator=())
 
-    fwd = _forwarding_flags(g, v_idx, nbrs) if run_w else None
+    fwd = _forwarding_flags(g, v_idx) if run_w else None
 
     outcomes = []
     n_total = 0
     m_total = 0
     for i in range(k):
-        sigma = beta = None
-        tau_u = tau_w = None
+        sigma = beta = tau_u = tau_w = None
         if run_u:
             dist, tau_u = _bfs(ladj, i, None)
             n_total += len(dist)
@@ -289,15 +288,7 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
             dist, tau_w = _bfs(ladj, i, fwd)
             m_total += len(dist)
             beta = len(dist) / k
-        outcomes.append(
-            OriginatorOutcome(
-                originator=g.label_of(nbrs[i]),
-                sigma=sigma,
-                beta=beta,
-                tau_unweighted=tau_u,
-                tau_weighted=tau_w,
-            )
-        )
+        outcomes.append(OriginatorOutcome(g.label_of(nbrs[i]), sigma, beta, tau_u, tau_w))
     return VictimSpread(
         victim=v,
         degree=k,
@@ -317,20 +308,16 @@ def fast_victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> Victi
     """
     run_u, run_w = _models(model)
     v_idx = g.index_of(v)
-    nbrs, ladj, _ = _local_index(g, v_idx)
+    nbrs, ladj = _local_index(g, v_idx)
     k = len(nbrs)
     if k == 0:
         return VictimSpread(victim=v, degree=0, sigma=None, beta=None, per_originator=())
 
-    a, b = np.array(
-        [(i, j) for i in range(k) for j in ladj[i] if j > i], dtype=np.int32
-    ).reshape(-1, 2).T
+    pairs = [(i, j) for i, row in enumerate(ladj) for j in row if j > i]
+    a, b = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
     n_per = _reach_counts(k, a, b, None).tolist() if run_u else None
-    m_per = (
-        _reach_counts(k, a, b, np.array(_forwarding_flags(g, v_idx, nbrs))).tolist()
-        if run_w
-        else None
-    )
+    fwd = np.array(_forwarding_flags(g, v_idx)) if run_w else None
+    m_per = _reach_counts(k, a, b, fwd).tolist() if run_w else None
     outcomes = tuple(
         OriginatorOutcome(
             originator=g.label_of(nbrs[i]),

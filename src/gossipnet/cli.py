@@ -148,6 +148,15 @@ def _write_labels(path: Path, g: WeightedGraph) -> None:
 # -- commands -----------------------------------------------------------------
 
 
+def _out_dir(path: str | Path) -> Path:
+    """``path`` as an output directory, made if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"--out: cannot make directory {str(path)!r}: {exc.strerror}") from exc
+    return Path(path)
+
+
 def _load_graph(path: str) -> WeightedGraph:
     try:
         g = parse_edge_list(path)
@@ -165,8 +174,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.out is None:
         _write_csv(sys.stdout, SUMMARY_HEADER, [summary_row])
         return 0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     curve_rows = _curve_rows(
         {"count": _counts(analysis.cc_curve)},
         {
@@ -206,8 +214,7 @@ def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     files = []
     for i in range(cfg.realizations):
         g = realization(cfg, i)
@@ -236,9 +243,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
+    out = _out_dir(args.out)
     ens = run_ensemble(cfg, min_samples=args.min_samples, workers=args.workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary_rows = [
         {column: getattr(s, f) for column, f in SUMMARY_COLUMNS} for s in ens.summaries
     ]
@@ -283,8 +289,10 @@ def cmd_project(args: argparse.Namespace) -> int:
     project = project_count if args.scheme == "count" else project_newman
     g = project(events)
     out = sys.stdout if args.out is None else Path(args.out)
-    if args.out is not None and out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    if args.out is not None:
+        _out_dir(out.parent)
+        if out.is_dir():
+            raise _UsageError(f"--out: {args.out!r} is a directory")
     try:
         write_edge_list(g, out)
     except ValueError as exc:  # unwritable labels in the input data

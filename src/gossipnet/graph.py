@@ -170,10 +170,10 @@ class WeightedGraph:
         )
 
     def has_edge(self, a: Label, b: Label) -> bool:
-        return self._slot(self.index_of(a), self.index_of(b)) >= 0
+        return _slot(self, self.index_of(a), self.index_of(b)) >= 0
 
     def weight(self, a: Label, b: Label) -> float:
-        p = self._slot(self.index_of(a), self.index_of(b))
+        p = _slot(self, self.index_of(a), self.index_of(b))
         if p < 0:
             raise KeyError(f"no edge between {a!r} and {b!r}")
         return float(self._weights[p])
@@ -192,26 +192,29 @@ class WeightedGraph:
     def _row(self, i: int) -> slice:
         return slice(int(self._indptr[i]), int(self._indptr[i + 1]))
 
-    def _slot(self, i: int, j: int) -> int:
-        """Position of the slot i→j, or -1 when there is no such edge."""
-        row = self._row(i)
-        p = row.start + int(np.searchsorted(self._indices[row], j))
-        return p if p < row.stop and self._indices[p] == j else -1
-
     # -- edge iteration ------------------------------------------------------
+
+    def _upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, weight) of each edge's slot i→j with i < j, in dense-index order."""
+        rows = np.repeat(np.arange(self.node_count), self._degree)
+        upper = self._indices > rows
+        return rows[upper], self._indices[upper], self._weights[upper]
 
     def edges(self) -> Iterator[tuple[Label, Label, float]]:
         """Every edge exactly once, in dense-index order."""
-        rows = np.repeat(np.arange(self.node_count), self._degree)
-        upper = self._indices > rows
         labels = self._labels
-        for i, j, w in zip(
-            rows[upper].tolist(), self._indices[upper].tolist(), self._weights[upper].tolist()
-        ):
+        for i, j, w in zip(*(column.tolist() for column in self._upper())):
             yield labels[i], labels[j], w
 
     def __repr__(self) -> str:
         return f"WeightedGraph(N={self.node_count}, M={self.edge_count})"
+
+
+def _slot(g: WeightedGraph, i: int, j: int) -> int:
+    """Position of the slot i→j, or -1 when there is no such edge."""
+    row = g._row(i)
+    p = row.start + int(np.searchsorted(g._indices[row], j))
+    return p if p < row.stop and g._indices[p] == j else -1
 
 
 def _check_weight(w: object) -> float:
@@ -311,33 +314,21 @@ def _mean_weighted(g: WeightedGraph, node_values: Iterable[float]) -> WeightedGr
     return WeightedGraph(g._index, g._indptr, g._indices, g._reverse, weights)
 
 
-def _local_index(
-    g: WeightedGraph, v_idx: int
-) -> tuple[list[int], list[list[int]], int]:
-    """Neighborhood of ``v_idx`` in local coordinates.
+def _local_index(g: WeightedGraph, v_idx: int) -> tuple[list[int], list[list[int]]]:
+    """Neighborhood of ``v_idx`` in local coordinates, as plain lists.
 
-    Returns (neighbor indices, local adjacency lists, local edge count).
-    Local adjacency position ``i`` corresponds to ``nbrs[i]``.
+    Returns (neighbor indices, local adjacency lists); local position ``i``
+    corresponds to ``nbrs[i]``, and each list is in ascending order.
     """
     indptr, indices = g._indptr, g._indices
-    nbrs = indices[g._row(v_idx)]
-    if not len(nbrs):
-        return [], [], 0
-    # the rows of all neighbors in one gather, then each entry's position
-    # among the neighbors, if it is one
-    sizes = g._degree[nbrs]
-    owner = np.repeat(np.arange(len(nbrs)), sizes)
-    shift = np.repeat(indptr[nbrs] - np.cumsum(sizes) + sizes, sizes)
-    seen = indices[np.arange(len(owner)) + shift]
-    local = np.minimum(np.searchsorted(nbrs, seen), len(nbrs) - 1)
-    hit = nbrs[local] == seen
-    flat = local[hit].tolist()
-    ends = np.cumsum(np.bincount(owner[hit], minlength=len(nbrs))).tolist()
-    ladj = [flat[start:end] for start, end in zip([0, *ends], ends)]
-    return nbrs.tolist(), ladj, len(flat) // 2
+    nbrs = indices[g._row(v_idx)].tolist()
+    local = dict(zip(nbrs, range(len(nbrs))))
+    ladj = [[local[w] for w in indices[indptr[u]:indptr[u + 1]].tolist() if w in local]
+            for u in nbrs]
+    return nbrs, ladj
 
 
-def _forwarding(g: WeightedGraph, slots: slice | np.ndarray) -> np.ndarray:
+def _forwarding(g: WeightedGraph, slots: int | slice | np.ndarray) -> np.ndarray:
     """Whether the far end u of each slot v→u forwards gossip about v.
 
     ``u`` keeps quiet when ``v`` is its close friend: w(u, v) * degree(u)
@@ -348,11 +339,10 @@ def _forwarding(g: WeightedGraph, slots: slice | np.ndarray) -> np.ndarray:
     return ~(g._weights[slots] * g._degree[u] > g._strength[u])
 
 
-def _forwarding_flags(g: WeightedGraph, v_idx: int, nbrs: list[int]) -> list[bool]:
-    """Whether each of ``nbrs``, all neighbors of ``v_idx``, forwards gossip
+def _forwarding_flags(g: WeightedGraph, v_idx: int) -> list[bool]:
+    """Whether each neighbor of ``v_idx``, in row order, forwards gossip
     about ``v_idx``."""
-    row = g._row(v_idx)
-    return _forwarding(g, row.start + np.searchsorted(g._indices[row], nbrs)).tolist()
+    return _forwarding(g, g._row(v_idx)).tolist()
 
 
 def _spans(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
@@ -364,6 +354,14 @@ def _spans(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
         done = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
         cuts.append(max(int(np.searchsorted(ends, done + limit, side="right")), cuts[-1] + 1))
     return list(zip(cuts, cuts[1:]))
+
+
+def _pairs_after(later: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) pairs in row-major order: item i = start, start + 1, ... pairs
+    with each of the ``later[i - start]`` items j right after it."""
+    first = np.repeat(np.arange(start, start + len(later)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return first, second
 
 
 def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -388,9 +386,7 @@ def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
     found = tuple([np.empty(0, dtype=np.int32)] for _ in range(3))
     for q0, q1 in _spans(later, WEDGE_CHUNK):
-        runs = later[q0:q1]
-        first = np.repeat(np.arange(q0, q1), runs)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs, runs)
+        first, second = _pairs_after(later[q0:q1], q0)
         xy, xz = out[first], out[second]
         wanted = indices[xy] * n + indices[xz]
         yz = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
@@ -441,13 +437,10 @@ def _local_blocks(
 
 def induced_neighborhood(g: WeightedGraph, v: Label) -> Neighborhood:
     """Subgraph over the neighbors of ``v``; empty for an isolated node."""
-    v_idx = g.index_of(v)
-    nbrs, ladj, _ = _local_index(g, v_idx)
+    nbrs, ladj = _local_index(g, g.index_of(v))
     node_labels = [g.label_of(u) for u in nbrs]
     edges = frozenset(
         frozenset((node_labels[i], node_labels[j]))
-        for i in range(len(nbrs))
-        for j in ladj[i]
-        if j > i
+        for i, row in enumerate(ladj) for j in row if j > i
     )
     return Neighborhood(center=v, nodes=frozenset(node_labels), edges=edges)

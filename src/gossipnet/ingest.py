@@ -19,7 +19,7 @@ from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import WeightedGraph, _from_pairs
+from .graph import WeightedGraph, _from_pairs, _pairs_after
 
 SEPARATORS = ("auto", "comma", "whitespace")
 
@@ -98,14 +98,15 @@ class _Labels:
         return list(self.first), table[positions]
 
 
-def _read_blocks(path, sep: str, fast, slow) -> list[np.ndarray]:
-    """The columns of a file's records, read in blocks of whole lines.
+def _read_blocks(path, sep: str, n_fields: int, plain, numbered) -> list[np.ndarray]:
+    """The columns of a file's ``n_fields``-field records, read in blocks of
+    whole lines.
 
-    A whitespace-separated block goes to ``fast(lines)``, which reads plain
-    records at once. Any other block (commas), and any block ``fast`` turns
-    down by returning None (comments, non-ASCII text, a malformed line),
-    goes to the line loop ``slow(chosen, lineno, lines)``, which names the
-    first bad line. Each returns a tuple of arrays, one per column.
+    The tokens of a whitespace-separated block of plain records go to
+    ``plain(tokens)``. Any other block (commas, comments, non-ASCII text, a
+    malformed line), or one ``plain`` turns down by returning None, goes to
+    ``numbered`` as the block's ``_records``, which name the first bad line.
+    Both return a tuple of arrays, one per column.
     """
     parts = []
     chosen = None
@@ -116,17 +117,22 @@ def _read_blocks(path, sep: str, fast, slow) -> list[np.ndarray]:
                 if chosen is None:  # picked on the first data line
                     data = (line for _, line in _numbered(lines, 0))
                     chosen = next((_detect_sep(line, sep) for line in data), None)
-                part = fast(lines) if chosen == "whitespace" else None
-                parts.append(slow(chosen, lineno, lines) if part is None else part)
+                tokens = _fast_block(lines, n_fields) if chosen == "whitespace" else None
+                part = None if tokens is None else plain(tokens)
+                del tokens  # free this block's strings before the next is read
+                if part is None:
+                    part = numbered(_records(path, sep, chosen, lineno, lines, n_fields))
+                parts.append(part)
                 lineno += len(lines)
     except UnicodeDecodeError:
         # the next block holds undecodable bytes: read it again line by line,
         # so that a malformed line before them is reported first
         with _open_text(path) as fh:
-            slow(chosen, lineno, itertools.islice(fh, lineno, None))
+            rest = itertools.islice(fh, lineno, None)
+            numbered(_records(path, sep, chosen, lineno, rest, n_fields))
         raise
     if not parts:  # no lines: the line loop's empty columns
-        parts.append(slow(chosen, 0, []))
+        parts.append(numbered([]))
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -137,9 +143,9 @@ def _read_edges(
     indices follow first appearance, as build_graph's do."""
     labels = _Labels()
     ends, weights = _read_blocks(
-        path, sep,
-        lambda lines: _fast_edges(lines, labels),
-        lambda chosen, lineno, lines: _line_block(path, sep, chosen, lineno, lines, labels),
+        path, sep, 3,
+        lambda tokens: _fast_edges(tokens, labels),
+        lambda records: _line_block(path, records, labels),
     )
     names, ends = labels.dense(ends)
     return dict(zip(names, range(len(names)))), ends.reshape(-1, 2), weights
@@ -163,12 +169,9 @@ def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
     return block.split()
 
 
-def _fast_edges(lines: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarray] | None:
-    """(end positions, weights) of a block of plain records, or None when
-    any line needs the line loop."""
-    tokens = _fast_block(lines, 3)
-    if tokens is None:
-        return None
+def _fast_edges(tokens: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarray] | None:
+    """(end positions, weights) of a block's tokens, or None when any record
+    needs the line loop."""
     try:
         weights = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(tokens) // 3)
     except ValueError:
@@ -197,12 +200,12 @@ def _records(path, sep, chosen, lineno, lines, n_fields) -> Iterator[tuple[int, 
         yield lineno, fields
 
 
-def _line_block(path, sep, chosen, lineno, lines, labels):
-    """(end positions, weights) of the lines after line ``lineno``, read one
-    by one; raises EdgeListError naming the first malformed line."""
+def _line_block(path, records, labels: _Labels) -> tuple[np.ndarray, np.ndarray]:
+    """(end positions, weights) of numbered edge records; raises
+    EdgeListError naming the first malformed one."""
     ends: list[int] = []
     weights: list[float] = []
-    for lineno, (a, b, w_text) in _records(path, sep, chosen, lineno, lines, 3):
+    for lineno, (a, b, w_text) in records:
         try:
             w = float(w_text)
         except ValueError:
@@ -230,10 +233,7 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str]) -> No
     back as one label, and no two labels may print as the same text."""
     labels = g.labels
     texts = list(map(str, labels))
-    rows = np.repeat(np.arange(g.node_count), g._degree)
-    upper = g._indices > rows
-    a, b, w = rows[upper], g._indices[upper], g._weights[upper]
-    del rows, upper
+    a, b, w = g._upper()
     bad = np.array([not _writable(t) for t in texts], dtype=bool)
     bad_edges = bad[a] | bad[b]
     if bad_edges.any():
@@ -274,32 +274,15 @@ class _Events(NamedTuple):
 def _read_events(path: str | PathLike[str], sep: str) -> _Events:
     """The records of a bipartite event file, read in blocks like an edge list."""
     groups, members = _Labels(), _Labels()
+
+    def plain(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        return groups.intern_all(tokens[0::2]), members.intern_all(tokens[1::2])
+
+    # the line loop checks the field count only, so its records read as tokens
     group_pos, member_pos = _read_blocks(
-        path, sep,
-        lambda lines: _fast_events(lines, groups, members),
-        lambda chosen, lineno, lines: _event_lines(
-            path, sep, chosen, lineno, lines, groups, members
-        ),
+        path, sep, 2, plain, lambda records: plain([f for _, fields in records for f in fields])
     )
     return _Events(*groups.dense(group_pos), *members.dense(member_pos))
-
-
-def _fast_events(lines: list[str], groups: _Labels, members: _Labels):
-    """(group positions, member positions) of a block of plain records, or
-    None when any line needs the line loop."""
-    tokens = _fast_block(lines, 2)
-    if tokens is None:
-        return None
-    return groups.intern_all(tokens[0::2]), members.intern_all(tokens[1::2])
-
-
-def _event_lines(path, sep, chosen, lineno, lines, groups, members):
-    """(group positions, member positions) of the lines after line
-    ``lineno``, read one by one."""
-    ids = [(groups.intern(g), members.intern(m))
-           for _, (g, m) in _records(path, sep, chosen, lineno, lines, 2)]
-    ids_array = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    return ids_array[:, 0], ids_array[:, 1]
 
 
 def _to_events(
@@ -355,8 +338,7 @@ def _group_pairs(member_ids: np.ndarray, sizes: np.ndarray, group_weights: list[
     with each later member j."""
     starts = np.cumsum(sizes) - sizes
     later = np.repeat(sizes + starts, sizes) - 1 - np.arange(len(member_ids))
-    first = np.repeat(np.arange(len(member_ids)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    first, second = _pairs_after(later, 0)
     ends = np.column_stack((member_ids[first], member_ids[second]))
     return ends, np.repeat(np.array(group_weights, dtype=np.float64), sizes)[first]
 

@@ -154,6 +154,12 @@ def find_k0(
     return k0, below and above
 
 
+def _critical(curve: DegreeCurve | None, min_samples: int) -> tuple[int | None, bool | None]:
+    """find_k0 of a model's curve; the flag is None where there is no k0."""
+    k0, interior = find_k0(curve, min_samples) if curve is not None else (None, None)
+    return k0, interior if k0 is not None else None
+
+
 def _ratio(num: float | None, den: float | None) -> float | None:
     if num is None or den is None or den == 0.0:
         return None
@@ -190,16 +196,8 @@ def analyze_network(
     beta_curve = _degree_mean(beta_by_k) if run_w else None
     cc_curve = _degree_mean(cc_by_k)
 
-    k0 = k0_interior = None
-    if sigma_curve is not None:
-        k0, k0_interior = find_k0(sigma_curve, min_samples)
-        if k0 is None:
-            k0_interior = None
-    k0_w = k0w_interior = None
-    if beta_curve is not None:
-        k0_w, k0w_interior = find_k0(beta_curve, min_samples)
-        if k0_w is None:
-            k0w_interior = None
+    k0, k0_interior = _critical(sigma_curve, min_samples)
+    k0_w, k0w_interior = _critical(beta_curve, min_samples)
 
     sigma_cc = _ratio(sigma, cc)
     summary = NetworkSummary(
@@ -214,19 +212,16 @@ def analyze_network(
         k0_interior=k0_interior,
         k0_w=k0_w,
         k0w_interior=k0w_interior,
-        k0w_over_k0=_ratio(float(k0_w) if k0_w is not None else None,
-                           float(k0) if k0 is not None else None),
+        k0w_over_k0=_ratio(k0_w, k0),
         sigma_over_cc=sigma_cc,
         beta_over_cc=_ratio(beta, cc),
         beta_over_sigma=_ratio(beta, sigma),
         beta_over_sigma_cc=_ratio(beta, sigma * cc if sigma is not None else None),
     )
 
-    ratio_curve = None
-    ratio_cc_curve = None
+    ratio_curve = ratio_cc_curve = None
     if run_u and run_w:
-        ratio_points = {}
-        ratio_cc_points = {}
+        ratio_points, ratio_cc_points = {}, {}
         for k in beta_curve.degrees():
             if k not in sigma_curve:
                 continue

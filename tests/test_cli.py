@@ -18,6 +18,7 @@ from gossipnet import (
     project_newman,
     summarize,
 )
+from gossipnet import cli
 from gossipnet.cli import _write_labels, build_parser, main
 from gossipnet.datasets import sample_network
 from gossipnet.generate import _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS
@@ -375,3 +376,44 @@ def test_every_config_field_has_one_flag_and_one_config_key():
     for command, own in own_flags.items():
         assert {a.dest for a in sub.choices[command]._actions} - own == names
     assert _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS == names
+
+
+class TestUnusableOut:
+    """An --out that cannot be made or written is a usage error naming it."""
+
+    def test_analyze(self, tmp_path, capsys, sample_file):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert run("analyze", "--input", str(sample_file), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+    def test_generate(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "file"
+        out.write_text("")
+        monkeypatch.setattr(cli, "realization", pytest.fail)
+        code = run("generate", "--model", "ER", "--N", "10", "--p", "0.5", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_sweep(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "file"
+        out.write_text("")
+        monkeypatch.setattr(cli, "run_ensemble", pytest.fail)
+        code = run("sweep", "--model", "ER", "--N", "10", "--p", "0.5",
+                   "--realizations", "2", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    def test_project(self, tmp_path, capsys, where):
+        src = tmp_path / "events.txt"
+        src.write_text("e1 a\ne1 b\n")
+        (tmp_path / "file").write_text("")
+        out = tmp_path if where == "directory" else tmp_path / "file" / "x.edges"
+        assert run("project", "--input", str(src), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        named = tmp_path if where == "directory" else tmp_path / "file"
+        assert err.startswith("error: ") and str(named) in err

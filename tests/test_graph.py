@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipnet import build_graph, induced_neighborhood, parse_edge_list, write_edge_list
+from gossipnet.graph import _pairs_after
 
 from .conftest import random_weighted_graph
 
@@ -199,3 +200,14 @@ def test_strengths_are_fsum_of_mixed_rows():
     g = build_graph(records)
     for v in g.labels:
         assert g.strength(v) == math.fsum(w for _, w in g.neighbors(v))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pairs_after_equals_nested_loops(seed):
+    rng = np.random.default_rng(seed)
+    later = rng.choice([0, 0, 1, 2, 5], size=int(rng.integers(0, 30)))
+    start = int(rng.integers(0, 50)) if seed else 0
+    first, second = _pairs_after(later, start)
+    expected = [(i, j) for i, n in enumerate(later.tolist(), start)
+                for j in range(i + 1, i + 1 + n)]
+    assert list(zip(first.tolist(), second.tolist())) == expected

@@ -178,8 +178,8 @@ class TestBlockReader:
     def test_plain_blocks_skip_the_line_loop(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "BLOCK", 40)
         calls = []
-        line_block = ingest._line_block
-        monkeypatch.setattr(ingest, "_line_block", lambda *a: calls.append(a[3]) or line_block(*a))
+        records = ingest._records
+        monkeypatch.setattr(ingest, "_records", lambda *a: calls.append(a[3]) or records(*a))
         p = tmp_path / "g.edges"
         lines = [f"n{i} n{i + 1} {i % 4 + 1}\n" for i in range(60)]
         p.write_text("".join(lines))
@@ -446,9 +446,9 @@ class TestEventReader:
     def test_plain_blocks_skip_the_line_loop(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "BLOCK", 40)
         calls = []
-        event_lines = ingest._event_lines
-        monkeypatch.setattr(ingest, "_event_lines",
-                            lambda *a: calls.append(a[3]) or event_lines(*a))
+        records = ingest._records
+        monkeypatch.setattr(ingest, "_records",
+                            lambda *a: calls.append(a[3]) or records(*a))
         p = tmp_path / "events.txt"
         lines = [f"e{i % 7} n{i}\n" for i in range(60)]
         p.write_text("".join(lines))
