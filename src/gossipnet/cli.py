@@ -168,13 +168,13 @@ def _load_graph(path: str) -> WeightedGraph:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    out = None if args.out is None else _out_dir(args.out)
     g = _load_graph(args.input)
     analysis = analyze_network(g, args.model, args.min_samples)
     summary_row = {column: getattr(analysis.summary, f) for column, f in SUMMARY_COLUMNS}
-    if args.out is None:
+    if out is None:
         _write_csv(sys.stdout, SUMMARY_HEADER, [summary_row])
         return 0
-    out = _out_dir(args.out)
     curve_rows = _curve_rows(
         {"count": _counts(analysis.cc_curve)},
         {
@@ -280,6 +280,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
+    out = sys.stdout if args.out is None else Path(args.out)
+    if args.out is not None:
+        _out_dir(out.parent)
+        if out.is_dir():
+            raise _UsageError(f"--out: {args.out!r} is a directory")
     try:
         events = _read_events(args.input, "auto")
     except _READ_ERRORS as exc:
@@ -288,11 +293,6 @@ def cmd_project(args: argparse.Namespace) -> int:
         _note(f"warning: {args.input}: no event records, writing empty output")
     project = project_count if args.scheme == "count" else project_newman
     g = project(events)
-    out = sys.stdout if args.out is None else Path(args.out)
-    if args.out is not None:
-        _out_dir(out.parent)
-        if out.is_dir():
-            raise _UsageError(f"--out: {args.out!r} is a directory")
     try:
         write_edge_list(g, out)
     except ValueError as exc:  # unwritable labels in the input data

@@ -68,8 +68,14 @@ def _numbered(lines: Iterable[str], lineno: int) -> Iterator[tuple[int, str]]:
 
 
 def parse_edge_list(path: str | PathLike[str], sep: str = "auto") -> WeightedGraph:
-    """Parse a weighted edge list into a graph (duplicates merge by sum)."""
-    return _from_pairs(*_read_edges(path, sep))
+    """Parse a weighted edge list into a graph (duplicates merge by sum);
+    dense indices follow first appearance, as build_graph's do."""
+    labels = _Labels()
+    ends, weights = _read_blocks(
+        path, sep, 3, lambda tokens: _fast_edges(tokens, labels), _check_edge
+    )
+    names, ends = labels.dense(ends)
+    return _from_pairs(dict(zip(names, range(len(names)))), ends.reshape(-1, 2), weights)
 
 
 class _Labels:
@@ -79,9 +85,6 @@ class _Labels:
     def __init__(self) -> None:
         self.first: dict = {}
         self.positions = itertools.count()
-
-    def intern(self, label) -> int:
-        return self.first.setdefault(label, next(self.positions))
 
     def intern_all(self, labels: list) -> np.ndarray:
         return np.fromiter(
@@ -98,15 +101,16 @@ class _Labels:
         return list(self.first), table[positions]
 
 
-def _read_blocks(path, sep: str, n_fields: int, plain, numbered) -> list[np.ndarray]:
+def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray]:
     """The columns of a file's ``n_fields``-field records, read in blocks of
     whole lines.
 
-    The tokens of a whitespace-separated block of plain records go to
-    ``plain(tokens)``. Any other block (commas, comments, non-ASCII text, a
-    malformed line), or one ``plain`` turns down by returning None, goes to
-    ``numbered`` as the block's ``_records``, which name the first bad line.
-    Both return a tuple of arrays, one per column.
+    A whitespace-separated block of plain records is split at once. Any
+    other block (commas, comments, non-ASCII text, a malformed line), or one
+    that ``plain`` turns down by returning None, is read line by line by
+    ``_records``, which checks each record with ``check`` and names the
+    first bad line. Either way the block's tokens go to ``plain(tokens)``,
+    which returns a tuple of arrays, one per column.
     """
     parts = []
     chosen = None
@@ -121,7 +125,7 @@ def _read_blocks(path, sep: str, n_fields: int, plain, numbered) -> list[np.ndar
                 part = None if tokens is None else plain(tokens)
                 del tokens  # free this block's strings before the next is read
                 if part is None:
-                    part = numbered(_records(path, sep, chosen, lineno, lines, n_fields))
+                    part = plain(_records(path, sep, chosen, lineno, lines, n_fields, check))
                 parts.append(part)
                 lineno += len(lines)
     except UnicodeDecodeError:
@@ -129,26 +133,11 @@ def _read_blocks(path, sep: str, n_fields: int, plain, numbered) -> list[np.ndar
         # so that a malformed line before them is reported first
         with _open_text(path) as fh:
             rest = itertools.islice(fh, lineno, None)
-            numbered(_records(path, sep, chosen, lineno, rest, n_fields))
+            _records(path, sep, chosen, lineno, rest, n_fields, check)
         raise
-    if not parts:  # no lines: the line loop's empty columns
-        parts.append(numbered([]))
+    if not parts:  # no lines: empty columns
+        parts.append(plain([]))
     return [np.concatenate(column) for column in zip(*parts)]
-
-
-def _read_edges(
-    path: str | PathLike[str], sep: str
-) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """(label index, ends, weights) of an edge-list file's records; dense
-    indices follow first appearance, as build_graph's do."""
-    labels = _Labels()
-    ends, weights = _read_blocks(
-        path, sep, 3,
-        lambda tokens: _fast_edges(tokens, labels),
-        lambda records: _line_block(path, records, labels),
-    )
-    names, ends = labels.dense(ends)
-    return dict(zip(names, range(len(names)))), ends.reshape(-1, 2), weights
 
 
 def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
@@ -185,9 +174,11 @@ def _fast_edges(tokens: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndar
     return ends, weights
 
 
-def _records(path, sep, chosen, lineno, lines, n_fields) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of the data lines after line ``lineno``, read one
-    by one; raises EdgeListError naming a line without ``n_fields`` fields."""
+def _records(path, sep, chosen, lineno, lines, n_fields, check) -> list[str]:
+    """The fields of the data lines after line ``lineno``, read one by one;
+    raises EdgeListError naming the first line without ``n_fields`` fields
+    or whose fields ``check(path, lineno, fields)`` refuses."""
+    tokens: list[str] = []
     for lineno, line in _numbered(lines, lineno):
         if chosen is None:
             chosen = _detect_sep(line, sep)
@@ -197,27 +188,22 @@ def _records(path, sep, chosen, lineno, lines, n_fields) -> Iterator[tuple[int, 
                 f"{path}:{lineno}: expected {n_fields} fields "
                 f"({chosen}-separated), got {len(fields)}: {line!r}"
             )
-        yield lineno, fields
+        check(path, lineno, fields)
+        tokens += fields
+    return tokens
 
 
-def _line_block(path, records, labels: _Labels) -> tuple[np.ndarray, np.ndarray]:
-    """(end positions, weights) of numbered edge records; raises
-    EdgeListError naming the first malformed one."""
-    ends: list[int] = []
-    weights: list[float] = []
-    for lineno, (a, b, w_text) in records:
-        try:
-            w = float(w_text)
-        except ValueError:
-            raise EdgeListError(f"{path}:{lineno}: non-numeric weight {w_text!r}") from None
-        if not math.isfinite(w) or w <= 0.0:
-            raise EdgeListError(f"{path}:{lineno}: weight must be positive, got {w_text!r}")
-        if a == b:
-            raise EdgeListError(f"{path}:{lineno}: self-loop on {a!r}")
-        ends.append(labels.intern(a))
-        ends.append(labels.intern(b))
-        weights.append(w)
-    return np.array(ends, dtype=np.int64), np.array(weights, dtype=np.float64)
+def _check_edge(path, lineno: int, fields: list[str]) -> None:
+    """Raise EdgeListError if an edge record's fields are no edge."""
+    a, b, w_text = fields
+    try:
+        w = float(w_text)
+    except ValueError:
+        raise EdgeListError(f"{path}:{lineno}: non-numeric weight {w_text!r}") from None
+    if not math.isfinite(w) or w <= 0.0:
+        raise EdgeListError(f"{path}:{lineno}: weight must be positive, got {w_text!r}")
+    if a == b:
+        raise EdgeListError(f"{path}:{lineno}: self-loop on {a!r}")
 
 
 def _writable(text: str) -> bool:
@@ -278,10 +264,8 @@ def _read_events(path: str | PathLike[str], sep: str) -> _Events:
     def plain(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
         return groups.intern_all(tokens[0::2]), members.intern_all(tokens[1::2])
 
-    # the line loop checks the field count only, so its records read as tokens
-    group_pos, member_pos = _read_blocks(
-        path, sep, 2, plain, lambda records: plain([f for _, fields in records for f in fields])
-    )
+    # any two fields are an event record
+    group_pos, member_pos = _read_blocks(path, sep, 2, plain, lambda *_: None)
     return _Events(*groups.dense(group_pos), *members.dense(member_pos))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -95,42 +94,24 @@ class NetworkAnalysis:
     beta_over_sigma_cc_curve: DegreeCurve | None
 
 
-def _by_degree(k: np.ndarray, values: np.ndarray) -> dict[int, list[float]]:
-    """Values grouped by degree, as Python floats keyed by Python ints."""
+def _per_victim(k: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` per node, and 0 below degree 2, where a victim has no
+    pair of friends for gossip to pass between. Exact integer operands give
+    the quotient Python's ``num / den`` gives."""
+    values = np.zeros(len(k))
+    pairs = k >= 2
+    values[pairs] = num[pairs] / den[pairs]
+    return values
+
+
+def _curve(k: np.ndarray, values: np.ndarray) -> tuple[float, DegreeCurve]:
+    """(exact sum of the values, their mean per degree), degrees as Python ints."""
     order = np.argsort(k, kind="stable")
     degrees, starts = np.unique(k[order], return_index=True)
     grouped = values[order].tolist()
-    ends = [*starts[1:].tolist(), len(grouped)]
-    return {
-        d: grouped[s:e] for d, s, e in zip(degrees.tolist(), starts.tolist(), ends)
-    }
-
-
-def _spread_by_degree(k: np.ndarray, count_sums: np.ndarray) -> dict[int, list[float]]:
-    """Spread of every victim (isolated nodes left out) grouped by degree.
-
-    Degree-1 victims carry no gossip-capable pair and aggregate as 0. The
-    operands are exact integers, so each quotient is the one Python's
-    ``count_sum / (k * k)`` gives.
-    """
-    values = np.zeros(len(k))
-    pairs = k >= 2
-    values[pairs] = count_sums[pairs] / (k * k)[pairs]
-    victims = k >= 1
-    return _by_degree(k[victims], values[victims])
-
-
-def _all_values_sum(values_by_degree: dict[int, list[float]]) -> float:
-    # fsum is exactly rounded, so grouping by degree does not change the sum
-    return math.fsum(chain.from_iterable(values_by_degree.values()))
-
-
-def _degree_mean(values_by_degree: dict[int, list[float]]) -> DegreeCurve:
-    return DegreeCurve(
-        {
-            k: CurvePoint(value=math.fsum(vals) / len(vals), count=len(vals))
-            for k, vals in sorted(values_by_degree.items())
-        }
+    bounds = zip(degrees.tolist(), starts.tolist(), [*starts[1:].tolist(), len(grouped)])
+    return math.fsum(grouped), DegreeCurve(
+        {d: CurvePoint(math.fsum(grouped[s:e]) / (e - s), e - s) for d, s, e in bounds}
     )
 
 
@@ -177,24 +158,19 @@ def analyze_network(
     """
     run_u, run_w = _models(model)
     k, triangles, n_sum, m_sum = _spread_sums(g, run_u, run_w)
-
-    cc_values = np.zeros(len(k))
-    pairs = k >= 2
-    cc_values[pairs] = 2.0 * triangles[pairs] / (k * (k - 1))[pairs]
-    cc_by_k = _by_degree(k, cc_values)
-    sigma_by_k = _spread_by_degree(k, n_sum) if run_u else {}
-    beta_by_k = _spread_by_degree(k, m_sum) if run_w else {}
     n_isolated = int(np.count_nonzero(k == 0))
     n_leaf = int(np.count_nonzero(k == 1))
-
     n_victims = g.node_count - n_isolated
-    sigma = _all_values_sum(sigma_by_k) / n_victims if run_u and n_victims else None
-    beta = _all_values_sum(beta_by_k) / n_victims if run_w and n_victims else None
-    cc = _all_values_sum(cc_by_k) / g.node_count if g.node_count else 0.0
+    victims = k >= 1  # isolated nodes count toward CC only
 
-    sigma_curve = _degree_mean(sigma_by_k) if run_u else None
-    beta_curve = _degree_mean(beta_by_k) if run_w else None
-    cc_curve = _degree_mean(cc_by_k)
+    def spread(count_sums: np.ndarray) -> tuple[float | None, DegreeCurve]:
+        total, curve = _curve(k[victims], _per_victim(k, count_sums, k * k)[victims])
+        return (total / n_victims if n_victims else None), curve
+
+    sigma, sigma_curve = spread(n_sum) if run_u else (None, None)
+    beta, beta_curve = spread(m_sum) if run_w else (None, None)
+    cc_sum, cc_curve = _curve(k, _per_victim(k, 2.0 * triangles, k * (k - 1)))
+    cc = cc_sum / g.node_count if g.node_count else 0.0
 
     k0, k0_interior = _critical(sigma_curve, min_samples)
     k0_w, k0w_interior = _critical(beta_curve, min_samples)
@@ -222,17 +198,16 @@ def analyze_network(
     ratio_curve = ratio_cc_curve = None
     if run_u and run_w:
         ratio_points, ratio_cc_points = {}, {}
-        for k in beta_curve.degrees():
-            if k not in sigma_curve:
-                continue
-            s_k = sigma_curve.value(k)
-            b_k = beta_curve.value(k)
-            n_k = beta_curve.count(k)
+        # all three curves group the same degree array, so they share degrees
+        for d in beta_curve.degrees():
+            s_k = sigma_curve.value(d)
+            b_k = beta_curve.value(d)
+            n_k = beta_curve.count(d)
             if s_k > 0.0:
-                ratio_points[k] = CurvePoint(value=b_k / s_k, count=n_k)
-                cc_k = cc_curve.value(k) if k in cc_curve else 0.0
+                ratio_points[d] = CurvePoint(value=b_k / s_k, count=n_k)
+                cc_k = cc_curve.value(d)
                 if cc_k > 0.0:
-                    ratio_cc_points[k] = CurvePoint(value=b_k / (s_k * cc_k), count=n_k)
+                    ratio_cc_points[d] = CurvePoint(value=b_k / (s_k * cc_k), count=n_k)
         ratio_curve = DegreeCurve(ratio_points)
         ratio_cc_curve = DegreeCurve(ratio_cc_points)
 

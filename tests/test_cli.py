@@ -381,9 +381,10 @@ def test_every_config_field_has_one_flag_and_one_config_key():
 class TestUnusableOut:
     """An --out that cannot be made or written is a usage error naming it."""
 
-    def test_analyze(self, tmp_path, capsys, sample_file):
+    def test_analyze(self, tmp_path, capsys, monkeypatch, sample_file):
         out = tmp_path / "file"
         out.write_text("")
+        monkeypatch.setattr(cli, "parse_edge_list", pytest.fail)
         assert run("analyze", "--input", str(sample_file), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
@@ -408,10 +409,11 @@ class TestUnusableOut:
         assert err.startswith("error: ") and str(out) in err
 
     @pytest.mark.parametrize("where", ["directory", "under_a_file"])
-    def test_project(self, tmp_path, capsys, where):
+    def test_project(self, tmp_path, capsys, monkeypatch, where):
         src = tmp_path / "events.txt"
         src.write_text("e1 a\ne1 b\n")
         (tmp_path / "file").write_text("")
+        monkeypatch.setattr(cli, "_read_events", pytest.fail)
         out = tmp_path if where == "directory" else tmp_path / "file" / "x.edges"
         assert run("project", "--input", str(src), "--out", str(out)) == 1
         err = capsys.readouterr().err

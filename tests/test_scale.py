@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from gossipnet import GeneratorConfig, analyze_network, build_graph, realization
+from gossipnet import GeneratorConfig, analyze_network, build_graph, realization, victim_spread
+from gossipnet.cli import main
 
 from .conftest import whole_graph_counts
+
+# a weighted Watts-Strogatz realization with M = 1e5
+WS = dict(model="WS", N=10_000, k=20, p=0.1, weight_stddev=1.0, seed=11)
+
+
+@pytest.fixture(scope="module")
+def ws():
+    return realization(GeneratorConfig(**WS, realizations=1), 0)
+
+
+@pytest.fixture(scope="module")
+def ws_counts(ws):
+    return whole_graph_counts(ws)
 
 
 def test_triangle_free_graph_spreads_to_nobody():
@@ -34,3 +49,39 @@ def test_uniform_weights_make_the_models_agree():
     analysis = analyze_network(g)
     assert analysis.summary.beta == analysis.summary.sigma
     assert analysis.sigma_curve == analysis.beta_curve
+
+
+def test_weighted_model_never_reaches_more_per_slot(ws, ws_counts):
+    assert ws.edge_count == 100_000
+    assert len(ws_counts) == 2 * ws.edge_count
+    assert all(m <= n for n, m in ws_counts.values())
+    assert any(m < n for n, m in ws_counts.values())  # the weights do stop gossip
+
+
+def test_curve_means_equal_global_values(ws):
+    analysis = analyze_network(ws)
+    summary = analysis.summary
+    for curve, value in [(analysis.sigma_curve, summary.sigma),
+                         (analysis.beta_curve, summary.beta),
+                         (analysis.cc_curve, summary.cc)]:
+        assert abs(curve.weighted_mean() - value) <= 1e-12
+
+
+def test_kernel_equals_oracle_on_a_sample(ws, ws_counts):
+    sample = np.random.default_rng(2007).choice(ws.node_count, size=2000, replace=False)
+    for v in map(ws.label_of, sample.tolist()):
+        spread = victim_spread(ws, v)
+        for o in spread.per_originator:
+            n, m = ws_counts[v, o.originator]
+            assert (n / spread.degree, m / spread.degree) == (o.sigma, o.beta)
+
+
+def test_sweep_is_byte_identical_across_worker_counts(tmp_path):
+    flags = [f"--{name}={value}" for name, value in WS.items()]
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["sweep", *flags, "--realizations", "2", "--workers", workers,
+                     "--out", str(out)]) == 0
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert trees[0] == trees[1]
