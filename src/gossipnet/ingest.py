@@ -75,6 +75,7 @@ def parse_edge_list(path: str | PathLike[str], sep: str = "auto") -> WeightedGra
         path, sep, 3, lambda tokens: _fast_edges(tokens, labels), _check_edge
     )
     names, ends = labels.dense(ends)
+    del labels  # free its position table before the graph is built
     return _from_pairs(dict(zip(names, range(len(names)))), ends.reshape(-1, 2), weights)
 
 
