@@ -195,7 +195,8 @@ def _records(path, sep, chosen, lineno, lines, n_fields, check) -> list[str]:
 
 
 def _check_edge(path, lineno: int, fields: list[str]) -> None:
-    """Raise EdgeListError if an edge record's fields are no edge."""
+    """Raise EdgeListError naming line ``lineno`` if its edge record has a
+    weight that is not positive and finite, or is a self-loop."""
     a, b, w_text = fields
     try:
         w = float(w_text)

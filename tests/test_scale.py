@@ -84,4 +84,4 @@ def test_sweep_is_byte_identical_across_worker_counts(tmp_path):
         assert main(["sweep", *flags, "--realizations", "2", "--workers", workers,
                      "--out", str(out)]) == 0
         trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert trees[0] == trees[1]
+    assert "ensemble.json" in trees[0] and trees[0] == trees[1]
