@@ -15,21 +15,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .graph import (
-    Label,
-    WeightedGraph,
-    _forwarding,
-    _forwarding_flags,
-    _local_blocks,
-    _local_index,
-    _slot,
-)
+from .graph import Label, WeightedGraph, _forwarding, _local_index, _slot, _spans, _triangles
 
 MODELS = ("unweighted", "weighted", "both")
+
+#: Slots plus local edges per block of victims in one component pass. They
+#: bound the temporaries, never the results. Every block scans the triangle
+#: list, so a large graph gets at most MAX_BLOCKS larger blocks instead of many.
+BLOCK_SIZE = 1 << 15
+MAX_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -96,6 +93,15 @@ def is_close_friend(g: WeightedGraph, s: Label, v: Label) -> bool:
     if not g.has_edge(s, v):
         raise ValueError(f"no edge between {s!r} and {v!r}")
     return not _forwarding(g, _slot(g, g.index_of(v), g.index_of(s)))
+
+
+def _forwards(g: WeightedGraph, v_idx: int, nbrs: list[int]) -> list[bool]:
+    """Whether each neighbor u in ``nbrs``, the row of ``v_idx``, forwards
+    gossip about it: not w(u, v) * degree(u) > strength(u). The BFS oracle
+    states the close-friend rule here, apart from the component kernel."""
+    weights = g._weights[g._row(v_idx)].tolist()
+    degree, strength = g._degree[nbrs].tolist(), g._strength[nbrs].tolist()
+    return [not w * k > s for w, k, s in zip(weights, degree, strength)]
 
 
 def _bfs(
@@ -180,45 +186,39 @@ def _reach_counts(
 
 def _slot_counts(
     g: WeightedGraph, run_u: bool, run_w: bool
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
-    """Knower counts of every originator of every victim, from one triangle
-    listing and one component pass per block of whole victims.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Triangles through each node, and the knower count of the originator
+    of every slot, in the base and in the weighted model (None for a model
+    not run), from one triangle listing and one component pass per block of
+    whole victims.
 
-    Yields (victims, row pointer, a, n_vr, m_vr): the counts are per slot of
-    the victims' rows (None for a model not run) and the row pointer locates
-    each victim's slots among them. ``a`` holds one slot per triangle
-    through each victim, in that victim's row, so it counts triangles.
+    Each triangle (x, y, z) is one local edge in each of N(x), N(y) and
+    N(z): in N(x) it joins x→y and x→z, in N(y) y→z and y→x, in N(z) z→x
+    and z→y, so each slot of the cycle meets its predecessor reversed.
     """
-    for victims, slots, ptr, a, b in _local_blocks(g):
-        size = slots.stop - slots.start
-        n_per = _reach_counts(size, a, b, None) if run_u else None
-        m_per = _reach_counts(size, a, b, _forwarding(g, slots)) if run_w else None
-        yield victims, ptr, a, n_per, m_per
-
-
-def _row_totals(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    totals = np.concatenate(([0], np.cumsum(values)))
-    return totals[ptr[1:]] - totals[ptr[:-1]]
-
-
-def _spread_sums(
-    g: WeightedGraph, run_u: bool, run_w: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Per node: degree, triangles through it, and the sums over its
-    originators of n_vr and of m_vr (None for a model not run)."""
     n = g.node_count
-    degree = np.zeros(n, dtype=np.int64)
-    triangles = np.zeros(n, dtype=np.int64)
-    n_sum = np.zeros(n, dtype=np.int64) if run_u else None
-    m_sum = np.zeros(n, dtype=np.int64) if run_w else None
-    for victims, ptr, a, n_per, m_per in _slot_counts(g, run_u, run_w):
-        degree[victims] = np.diff(ptr)
-        triangles[victims] = _row_totals(ptr, np.bincount(a, minlength=int(ptr[-1])))
+    indptr, reverse = g._indptr, g._reverse
+    rows = np.repeat(np.arange(n), g._degree)
+    cycle = _triangles(g, rows)
+    triangles = sum(np.bincount(rows[slots], minlength=n) for slots in cycle)
+    del rows
+    n_per = np.empty(len(reverse), dtype=np.int32) if run_u else None
+    m_per = np.empty(len(reverse), dtype=np.int32) if run_w else None
+    families = [(cycle[i], cycle[i - 1]) for i in range(3)]
+    cost = g._degree + triangles  # slots plus local edges of each victim
+    for v0, v1 in _spans(cost, max(BLOCK_SIZE, -(-int(cost.sum()) // MAX_BLOCKS))):
+        s0, s1 = int(indptr[v0]), int(indptr[v1])
+        a_parts, b_parts = [], []
+        for own, before in families:
+            inside = np.flatnonzero((own >= s0) & (own < s1))
+            a_parts.append(own[inside] - s0)
+            b_parts.append(reverse[before[inside]] - s0)
+        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
         if run_u:
-            n_sum[victims] = _row_totals(ptr, n_per)
+            n_per[s0:s1] = _reach_counts(s1 - s0, a, b, None)
         if run_w:
-            m_sum[victims] = _row_totals(ptr, m_per)
-    return degree, triangles, n_sum, m_sum
+            m_per[s0:s1] = _reach_counts(s1 - s0, a, b, _forwarding(g, slice(s0, s1)))
+    return triangles, n_per, m_per
 
 
 def _require_neighbor(g: WeightedGraph, v: Label, r: Label) -> tuple[int, int]:
@@ -230,7 +230,7 @@ def _require_neighbor(g: WeightedGraph, v: Label, r: Label) -> tuple[int, int]:
 def _cascade(g: WeightedGraph, v: Label, r: Label, weighted: bool) -> CascadeResult:
     v_idx, r_idx = _require_neighbor(g, v, r)
     nbrs, ladj = _local_index(g, v_idx)
-    fwd = _forwarding_flags(g, v_idx) if weighted else None
+    fwd = _forwards(g, v_idx, nbrs) if weighted else None
     dist, tau = _bfs(ladj, nbrs.index(r_idx), fwd)
     knowers = frozenset(g.label_of(nbrs[i]) for i in dist)
     return CascadeResult(
@@ -273,7 +273,7 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
     if k == 0:
         return VictimSpread(victim=v, degree=0, sigma=None, beta=None, per_originator=())
 
-    fwd = _forwarding_flags(g, v_idx) if run_w else None
+    fwd = _forwards(g, v_idx, nbrs) if run_w else None
 
     outcomes = []
     n_total = 0
@@ -316,7 +316,7 @@ def fast_victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> Victi
     pairs = [(i, j) for i, row in enumerate(ladj) for j in row if j > i]
     a, b = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
     n_per = _reach_counts(k, a, b, None).tolist() if run_u else None
-    fwd = np.array(_forwarding_flags(g, v_idx)) if run_w else None
+    fwd = _forwarding(g, g._row(v_idx)) if run_w else None
     m_per = _reach_counts(k, a, b, fwd).tolist() if run_w else None
     outcomes = tuple(
         OriginatorOutcome(

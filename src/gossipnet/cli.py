@@ -148,6 +148,15 @@ def _write_labels(path: Path, g: WeightedGraph) -> None:
 # -- commands -----------------------------------------------------------------
 
 
+def _unmade_dir(path: str | Path) -> Path:
+    """``path`` as an output directory not yet made: a usage error when it,
+    or the nearest part of it that exists, is not a directory."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise _UsageError(f"--out: {str(existing)!r} is not a directory")
+    return Path(path)
+
+
 def _out_dir(path: str | Path) -> Path:
     """``path`` as an output directory, made if missing."""
     try:
@@ -168,13 +177,14 @@ def _load_graph(path: str) -> WeightedGraph:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    out = None if args.out is None else _out_dir(args.out)
+    out = None if args.out is None else _unmade_dir(args.out)
     g = _load_graph(args.input)
     analysis = analyze_network(g, args.model, args.min_samples)
     summary_row = {column: getattr(analysis.summary, f) for column, f in SUMMARY_COLUMNS}
     if out is None:
         _write_csv(sys.stdout, SUMMARY_HEADER, [summary_row])
         return 0
+    _out_dir(out)
     curve_rows = _curve_rows(
         {"count": _counts(analysis.cc_curve)},
         {
@@ -243,8 +253,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
-    out = _out_dir(args.out)
+    out = _unmade_dir(args.out)
     ens = run_ensemble(cfg, min_samples=args.min_samples, workers=args.workers)
+    _out_dir(out)
     summary_rows = [
         {column: getattr(s, f) for column, f in SUMMARY_COLUMNS} for s in ens.summaries
     ]
@@ -282,7 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_project(args: argparse.Namespace) -> int:
     out = sys.stdout if args.out is None else Path(args.out)
     if args.out is not None:
-        _out_dir(out.parent)
+        _unmade_dir(out.parent)
         if out.is_dir():
             raise _UsageError(f"--out: {args.out!r} is a directory")
     try:
@@ -293,6 +304,8 @@ def cmd_project(args: argparse.Namespace) -> int:
         _note(f"warning: {args.input}: no event records, writing empty output")
     project = project_count if args.scheme == "count" else project_newman
     g = project(events)
+    if args.out is not None:
+        _out_dir(out.parent)
     try:
         write_edge_list(g, out)
     except ValueError as exc:  # unwritable labels in the input data

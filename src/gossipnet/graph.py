@@ -22,13 +22,9 @@ import numpy as np
 
 Label = Hashable
 
-#: Wedges closed per batch in the triangle listing, and slots plus local
-#: edges per block of victims handed to the spread kernel. They bound the
-#: temporaries, never the results. Every block scans the triangle list, so
-#: a large graph gets at most MAX_BLOCKS larger blocks instead of many.
+#: Wedges closed per batch in the triangle listing. It bounds the
+#: temporaries, never the results.
 WEDGE_CHUNK = 1 << 14
-BLOCK_SIZE = 1 << 15
-MAX_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -339,12 +335,6 @@ def _forwarding(g: WeightedGraph, slots: int | slice | np.ndarray) -> np.ndarray
     return ~(g._weights[slots] * g._degree[u] > g._strength[u])
 
 
-def _forwarding_flags(g: WeightedGraph, v_idx: int) -> list[bool]:
-    """Whether each neighbor of ``v_idx``, in row order, forwards gossip
-    about ``v_idx``."""
-    return _forwarding(g, g._row(v_idx)).tolist()
-
-
 def _spans(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
     """Consecutive index ranges whose cost sums to at most ``limit``; an item
     costlier than ``limit`` gets a range of its own."""
@@ -400,39 +390,6 @@ def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         cycle.append(np.concatenate(parts))
         parts.clear()
     return tuple(cycle)
-
-
-def _local_blocks(
-    g: WeightedGraph,
-) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """Local edges of every victim, in blocks of whole victims.
-
-    Yields (victims, slots, row pointer, a, b): the victims' rows span the
-    slots, the row pointer is ``indptr[victims]`` less ``slots.start``, and
-    ``a[i]``-``b[i]`` is an edge between two slots of one victim, as offsets
-    from ``slots.start``. Each triangle (x, y, z) is one local edge in each
-    of N(x), N(y) and N(z).
-    """
-    n = g.node_count
-    indptr, reverse = g._indptr, g._reverse
-    rows = np.repeat(np.arange(n), g._degree)
-    cycle = _triangles(g, rows)
-    cost = g._degree.copy()
-    for slots in cycle:
-        cost += np.bincount(rows[slots], minlength=n)
-    del rows
-    # the local edge in N(x) joins x→y and x→z; in N(y), y→z and y→x; in
-    # N(z), z→x and z→y: each slot of the cycle with its predecessor reversed
-    families = [(cycle[i], cycle[i - 1]) for i in range(3)]
-    for v0, v1 in _spans(cost, max(BLOCK_SIZE, -(-int(cost.sum()) // MAX_BLOCKS))):
-        s0, s1 = int(indptr[v0]), int(indptr[v1])
-        a_parts, b_parts = [], []
-        for own, before in families:
-            inside = np.flatnonzero((own >= s0) & (own < s1))
-            a_parts.append(own[inside] - s0)
-            b_parts.append(reverse[before[inside]] - s0)
-        yield (slice(v0, v1), slice(s0, s1), indptr[v0:v1 + 1] - s0,
-               np.concatenate(a_parts), np.concatenate(b_parts))
 
 
 def induced_neighborhood(g: WeightedGraph, v: Label) -> Neighborhood:

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cascade import _models, _spread_sums
+from .cascade import _models, _slot_counts
 from .graph import WeightedGraph
 
 
@@ -94,6 +94,12 @@ class NetworkAnalysis:
     beta_over_sigma_cc_curve: DegreeCurve | None
 
 
+def _row_totals(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over each CSR row."""
+    totals = np.concatenate(([0], np.cumsum(values)))
+    return totals[indptr[1:]] - totals[indptr[:-1]]
+
+
 def _per_victim(k: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """``num / den`` per node, and 0 below degree 2, where a victim has no
     pair of friends for gossip to pass between. Exact integer operands give
@@ -157,18 +163,20 @@ def analyze_network(
     ``min_samples``), and the coefficient ratios.
     """
     run_u, run_w = _models(model)
-    k, triangles, n_sum, m_sum = _spread_sums(g, run_u, run_w)
+    triangles, n_per, m_per = _slot_counts(g, run_u, run_w)
+    k = g._degree
     n_isolated = int(np.count_nonzero(k == 0))
     n_leaf = int(np.count_nonzero(k == 1))
     n_victims = g.node_count - n_isolated
     victims = k >= 1  # isolated nodes count toward CC only
 
-    def spread(count_sums: np.ndarray) -> tuple[float | None, DegreeCurve]:
+    def spread(counts: np.ndarray) -> tuple[float | None, DegreeCurve]:
+        count_sums = _row_totals(g._indptr, counts)
         total, curve = _curve(k[victims], _per_victim(k, count_sums, k * k)[victims])
         return (total / n_victims if n_victims else None), curve
 
-    sigma, sigma_curve = spread(n_sum) if run_u else (None, None)
-    beta, beta_curve = spread(m_sum) if run_w else (None, None)
+    sigma, sigma_curve = spread(n_per) if run_u else (None, None)
+    beta, beta_curve = spread(m_per) if run_w else (None, None)
     cc_sum, cc_curve = _curve(k, _per_victim(k, 2.0 * triangles, k * (k - 1)))
     cc = cc_sum / g.node_count if g.node_count else 0.0
 

@@ -54,14 +54,9 @@ def random_bipartite_graph(rng: np.random.Generator) -> WeightedGraph:
 
 def whole_graph_counts(g: WeightedGraph) -> dict[tuple, tuple[int, int]]:
     """(victim, originator) -> (n_vr, m_vr) from one whole-graph kernel pass."""
-    counts = {}
-    for victims, ptr, _, n_per, m_per in _slot_counts(g, True, True):
-        for v_idx in range(victims.start, victims.stop):
-            v = g.label_of(v_idx)
-            start = int(ptr[v_idx - victims.start])
-            for i, (r, _) in enumerate(g.neighbors(v)):
-                counts[v, r] = (int(n_per[start + i]), int(m_per[start + i]))
-    return counts
+    _, n_per, m_per = _slot_counts(g, True, True)
+    slots = [(v, r) for v in g.labels for r, _ in g.neighbors(v)]
+    return dict(zip(slots, zip(n_per.tolist(), m_per.tolist())))
 
 
 def assert_same_graph(g: WeightedGraph, h: WeightedGraph) -> None:

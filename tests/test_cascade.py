@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gossipnet import (
     analyze_network,
     build_graph,
+    cascade,
     cascade_unweighted,
     cascade_weighted,
     fast_victim_spread,
@@ -309,8 +310,8 @@ def test_blocking_never_changes_counts(corpus, monkeypatch):
     graphs = corpus[:30] + [build_graph([(i, j, 1.0 + (i * j) % 3)
                                          for i in range(12) for j in range(i + 1, 12)])]
     expected = [analyze_network(g) for g in graphs]
-    monkeypatch.setattr(graph, "BLOCK_SIZE", 1)
-    monkeypatch.setattr(graph, "MAX_BLOCKS", 10**9)
+    monkeypatch.setattr(cascade, "BLOCK_SIZE", 1)
+    monkeypatch.setattr(cascade, "MAX_BLOCKS", 10**9)
     monkeypatch.setattr(graph, "WEDGE_CHUNK", 1)
     for g, before in zip(graphs, expected):
         assert analyze_network(g) == before

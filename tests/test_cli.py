@@ -359,6 +359,12 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,out", [("analyze", "a"), ("project", "b/x.edges")])
+    def test_input_error_makes_no_out(self, tmp_path, command, out):
+        missing = str(tmp_path / "nope")
+        assert run(command, "--input", missing, "--out", str(tmp_path / "new" / out)) == 2
+        assert not (tmp_path / "new").exists()
+
     def test_analyze_rerun_byte_identical(self, tmp_path, sample_file):
         trees = []
         for name in ("r1", "r2"):
