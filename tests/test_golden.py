@@ -8,10 +8,11 @@ and edge order; the mixed edge-list and seeded event-file digests were
 recorded before edge lists were read in blocks and the projection and the
 generators built their graphs from arrays; the mixed event-file digests were
 recorded before event files were read in blocks and normalized in numpy (the
-``ascii_clean`` ones by running that earlier code on the file). A
-refactor that claims unchanged outputs must leave every one of them as it
-is. A digest covers a whole ``--out`` tree (relative paths and file
-contents) or one stdout capture.
+``ascii_clean`` ones by running that earlier code on the file); the BA
+duplicate-draw digest was recorded before BA kept one flat endpoint list as
+its edge list. A refactor that claims unchanged outputs must leave every one
+of them as it is. A digest covers a whole ``--out`` tree (relative paths and
+file contents) or one stdout capture.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ N1000 = {
 # skip 5 rewires whose node is already adjacent to every other node
 WS_SATURATED = ["--model", "WS", "--N", "8", "--k", "6", "--p", "0.9", "--seed", "7",
                 "--realizations", "3"]
+
+# a two-node seed clique and m = m0: the first new nodes redraw many duplicate
+# targets, so every redraw moves the stream
+BA_DUPLICATES = ["--model", "BA", "--N", "300", "--m0", "2", "--m", "2", "--seed", "7",
+                 "--realizations", "3"]
 
 EVENTS = "p1 ana\np1 bo\np1 cy\np2 ana\np2 bo\np3 bo\np3 cy\np3 dee\np3 ed\np4 ed\np1 ana\n"
 
@@ -170,6 +176,7 @@ GOLDEN = {
     "generate_er_n1000": "699021c0b223c409abcd4c399e9bcfd19cad373bee29bfec6ddb8d69ea2708dd",
     "generate_ws_n1000": "1e099947cc30f51c3711df9695ff391477dec1b7f63ae70b63de63e9310bec34",
     "generate_ws_saturated": "fd3ec6cc34b6012ac190bb742b90837f90bb32cac1161c6452b0b5a65bf40e56",
+    "generate_ba_duplicates": "735592c2ff73c8ea9ae5c8eb340c42b5ccd3e0cad7a40d2a3b1e62b26b05214a",
     "project_out_count": "1071388009ca8e709a20127e69b901298875684dfd4b76e4f4cae90af841de85",
     "project_out_newman": "bb7e61796ca7c49ffebe7298a30d70b338b315730a4df125d5a1cd7261f9ad4a",
     "analyze_mixed_blocks": "e73d62f3acd3e0d7fe067c8da6e80f220faad9e01b0246187cf8a9e8e4c4bf4d",
@@ -237,6 +244,12 @@ def test_generate_ws_saturated(tmp_path):
     out = tmp_path / "out"
     assert main(["generate", *WS_SATURATED, "--out", str(out)]) == 0
     assert tree_digest(out) == GOLDEN["generate_ws_saturated"]
+
+
+def test_generate_ba_duplicates(tmp_path):
+    out = tmp_path / "out"
+    assert main(["generate", *BA_DUPLICATES, "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN["generate_ba_duplicates"]
 
 
 @pytest.mark.parametrize("scheme", ["count", "newman"])
