@@ -16,7 +16,7 @@ from .cascade import (
     VictimSpread,
     cascade_unweighted,
     cascade_weighted,
-    fast_victim_spread,
+    fast_victim_spread,  # an alias of victim_spread, left out of __all__
     is_close_friend,
     victim_spread,
 )
@@ -76,7 +76,6 @@ __all__ = [
     "build_graph",
     "cascade_unweighted",
     "cascade_weighted",
-    "fast_victim_spread",
     "find_k0",
     "generate_structure",
     "induced_neighborhood",

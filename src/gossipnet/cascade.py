@@ -56,8 +56,7 @@ class OriginatorOutcome:
 
     ``sigma``/``tau_unweighted`` belong to the base model and
     ``beta``/``tau_weighted`` to the weighted model; fields are None for a
-    model that was not run (and hop counts are None on the component-based
-    fast path, which reproduces counts only).
+    model that was not run.
     """
 
     originator: Label
@@ -298,38 +297,7 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
     )
 
 
-def fast_victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpread:
-    """Same counts as :func:`victim_spread` without per-originator searches.
-
-    Knower counts come from one component pass over the local subgraph, with
-    every neighbor forwarding (base model) or only those for whom the victim
-    is not a close friend (weighted model, boundary absorbed); they are
-    bit-identical to the BFS path. Hop counts are not computed here (None).
-    """
-    run_u, run_w = _models(model)
-    v_idx = g.index_of(v)
-    nbrs, ladj = _local_index(g, v_idx)
-    k = len(nbrs)
-    if k == 0:
-        return VictimSpread(victim=v, degree=0, sigma=None, beta=None, per_originator=())
-
-    pairs = [(i, j) for i, row in enumerate(ladj) for j in row if j > i]
-    a, b = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
-    n_per = _reach_counts(k, a, b, None).tolist() if run_u else None
-    fwd = _forwarding(g, g._row(v_idx)) if run_w else None
-    m_per = _reach_counts(k, a, b, fwd).tolist() if run_w else None
-    outcomes = tuple(
-        OriginatorOutcome(
-            originator=g.label_of(nbrs[i]),
-            sigma=n_per[i] / k if n_per is not None else None,
-            beta=m_per[i] / k if m_per is not None else None,
-        )
-        for i in range(k)
-    )
-    return VictimSpread(
-        victim=v,
-        degree=k,
-        sigma=sum(n_per) / (k * k) if n_per is not None else None,
-        beta=sum(m_per) / (k * k) if m_per is not None else None,
-        per_originator=outcomes,
-    )
+#: Old name of the oracle, kept only for perfbench's traced
+#: ``local_components`` counter; ROADMAP item 1e moves that counter off it and
+#: deletes this alias.
+fast_victim_spread = victim_spread

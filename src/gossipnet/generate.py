@@ -147,23 +147,18 @@ def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    # seed clique, then degree-proportional attachment via an endpoint multiset;
-    # duplicate targets for one new node are redrawn (simple graph)
-    edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
-    endpoints: list[int] = []
-    for i, j in edges:
-        endpoints.append(i)
-        endpoints.append(j)
+def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    # seed clique, then degree-proportional attachment: the flat edge list is
+    # the endpoint multiset drawn from; duplicate targets for one new node are
+    # redrawn (simple graph)
+    ends = [x for i in range(m0) for j in range(i + 1, m0) for x in (i, j)]
     for new in range(m0, n):
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(endpoints[int(rng.integers(len(endpoints)))])
+            targets.add(ends[int(rng.integers(len(ends)))])
         for t in sorted(targets):
-            edges.append((t, new))
-            endpoints.append(t)
-            endpoints.append(new)
-    return edges
+            ends += (t, new)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def _ws_edges(n: int, k: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
@@ -202,11 +197,10 @@ def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> Weig
     rng = _stream(cfg, realization_index, "structure")
     if cfg.model == "ER":
         ends = _er_edges(cfg.N, cfg.p, rng)
+    elif cfg.model == "BA":
+        ends = _ba_edges(cfg.N, cfg.m0, cfg.m, rng)
     else:
-        if cfg.model == "BA":
-            edges = _ba_edges(cfg.N, cfg.m0, cfg.m, rng)
-        else:
-            edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
+        edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
         flat = itertools.chain.from_iterable(edges)
         ends = np.fromiter(flat, dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
     # every pair once, weighing 1

@@ -18,7 +18,6 @@ from gossipnet import (
     build_graph,
     cascade_unweighted,
     cascade_weighted,
-    fast_victim_spread,
     is_close_friend,
     realization,
     run_ensemble,
@@ -157,22 +156,15 @@ def test_c06_fast_path_oracle_equivalence(corpus):
             if naive.degree >= 1:
                 sigmas.append(naive.sigma if naive.degree >= 2 else 0.0)
                 betas.append(naive.beta if naive.degree >= 2 else 0.0)
-            fast = fast_victim_spread(g, v)
-            assert fast.sigma == naive.sigma
-            assert fast.beta == naive.beta
-            for a, b in zip(fast.per_originator, naive.per_originator):
-                assert a.originator == b.originator
-                assert a.sigma == b.sigma
-                assert a.beta == b.beta
             checked += 1
         summary = analyze_network(g).summary
         assert summary.sigma == math.fsum(sigmas) / len(sigmas)
         assert summary.beta == math.fsum(betas) / len(betas)
     report(
         "c06",
-        f"component path == per-originator BFS on {checked} victims, whole-graph "
-        f"kernel == BFS on {slots} slots in both models, and network "
-        f"sigma/beta == oracle means on {len(corpus)} graphs, exact",
+        f"whole-graph kernel == per-originator BFS on {slots} slots of {checked} "
+        f"victims in both models, and network sigma/beta == oracle means on "
+        f"{len(corpus)} graphs, exact",
     )
 
 

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gossipnet
 from gossipnet import (
     analyze_network,
     build_graph,
     cascade,
     cascade_unweighted,
     cascade_weighted,
-    fast_victim_spread,
     graph,
     is_close_friend,
     summarize,
@@ -166,8 +166,7 @@ class TestVictimSpread:
 
 
 def assert_kernel_matches_oracle(g):
-    # per victim through fast_victim_spread, and per slot from one
-    # whole-graph pass, both models
+    # per slot from one whole-graph pass, both models
     counts = whole_graph_counts(g)
     assert len(counts) == 2 * g.edge_count
     for v in g.labels:
@@ -175,38 +174,26 @@ def assert_kernel_matches_oracle(g):
         for o in naive.per_originator:
             n, m = counts[v, o.originator]
             assert (n / naive.degree, m / naive.degree) == (o.sigma, o.beta)
-        fast = fast_victim_spread(g, v)
-        assert (fast.sigma, fast.beta) == (naive.sigma, naive.beta)
-        assert [(o.originator, o.sigma, o.beta) for o in fast.per_originator] == [
-            (o.originator, o.sigma, o.beta) for o in naive.per_originator
-        ]
 
 
-class TestFastVictimSpread:
+class TestWholeGraphCounts:
     def test_sample_network(self, sample9):
-        fv = fast_victim_spread(sample9, "v")
-        assert fv.sigma == 30 / 64
-        assert fv.beta == 16 / 64
-        assert all(o.tau_unweighted is None for o in fv.per_originator)
+        counts = whole_graph_counts(sample9)
+        slots = [counts["v", r] for r, _ in sample9.neighbors("v")]
+        assert len(slots) == 8
+        assert sum(n for n, _ in slots) / 64 == 30 / 64
+        assert sum(m for _, m in slots) / 64 == 16 / 64
 
     def test_star_center(self):
         k = 7
         g = build_graph([("hub", f"s{i}", 1.0) for i in range(k)])
-        fv = fast_victim_spread(g, "hub")
-        assert fv.sigma == 1 / k
-        assert all(o.sigma == 1 / k for o in fv.per_originator)
+        counts = whole_graph_counts(g)
+        assert [counts["hub", f"s{i}"] for i in range(k)] == [(1, 1)] * k
 
-    def test_matches_reference_path(self, corpus):
-        for g in corpus[:25]:
-            for v in g.labels:
-                naive = victim_spread(g, v)
-                fast = fast_victim_spread(g, v)
-                assert fast.sigma == naive.sigma
-                assert fast.beta == naive.beta
-                for a, b in zip(fast.per_originator, naive.per_originator):
-                    assert a.originator == b.originator
-                    assert a.sigma == b.sigma
-                    assert a.beta == b.beta
+
+def test_fast_victim_spread_is_the_oracle():
+    # the old name stays importable until the benchmark's counter moves off it
+    assert gossipnet.fast_victim_spread is gossipnet.victim_spread
 
 
 def test_per_neighbor_constant_weights_reduce_to_base_model():

@@ -210,7 +210,7 @@ class TestWeights:
         if cfg.model == "ER":
             edges = _er_edges(cfg.N, cfg.p, rng).tolist()
         elif cfg.model == "BA":
-            edges = _ba_edges(cfg.N, cfg.m0, cfg.m, rng)
+            edges = _ba_edges(cfg.N, cfg.m0, cfg.m, rng).tolist()
         else:
             edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
         expected = build_graph([(i, j, 1.0) for i, j in edges], nodes=range(cfg.N))

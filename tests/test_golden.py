@@ -48,7 +48,7 @@ WS_SATURATED = ["--model", "WS", "--N", "8", "--k", "6", "--p", "0.9", "--seed",
                 "--realizations", "3"]
 
 # a two-node seed clique and m = m0: the first new nodes redraw many duplicate
-# targets, so every redraw moves the stream
+# targets, and each redraw takes one more value from the structure stream
 BA_DUPLICATES = ["--model", "BA", "--N", "300", "--m0", "2", "--m", "2", "--seed", "7",
                  "--realizations", "3"]
 

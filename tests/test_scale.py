@@ -67,13 +67,27 @@ def test_curve_means_equal_global_values(ws):
         assert abs(curve.weighted_mean() - value) <= 1e-12
 
 
-def test_kernel_equals_oracle_on_a_sample(ws, ws_counts):
-    sample = np.random.default_rng(2007).choice(ws.node_count, size=2000, replace=False)
-    for v in map(ws.label_of, sample.tolist()):
-        spread = victim_spread(ws, v)
+def assert_kernel_equals_oracle_on_a_sample(g, counts):
+    sample = np.random.default_rng(2007).choice(g.node_count, size=2000, replace=False)
+    for v in map(g.label_of, sample.tolist()):
+        spread = victim_spread(g, v)
         for o in spread.per_originator:
-            n, m = ws_counts[v, o.originator]
+            n, m = counts[v, o.originator]
             assert (n / spread.degree, m / spread.degree) == (o.sigma, o.beta)
+
+
+def test_kernel_equals_oracle_on_a_sample(ws, ws_counts):
+    assert_kernel_equals_oracle_on_a_sample(ws, ws_counts)
+
+
+def test_kernel_equals_oracle_with_tied_weights(ws):
+    # integer weights 1-5 put many slots exactly on the close-friend
+    # threshold, which continuous weights never do
+    weights = np.random.default_rng(5).integers(1, 6, size=ws.edge_count).tolist()
+    g = build_graph(
+        [(a, b, w) for (a, b, _), w in zip(ws.edges(), weights)], nodes=ws.labels
+    )
+    assert_kernel_equals_oracle_on_a_sample(g, whole_graph_counts(g))
 
 
 def test_sweep_is_byte_identical_across_worker_counts(tmp_path):
