@@ -10,7 +10,9 @@ generators built their graphs from arrays; the mixed event-file digests were
 recorded before event files were read in blocks and normalized in numpy (the
 ``ascii_clean`` ones by running that earlier code on the file); the BA
 duplicate-draw digest was recorded before BA kept one flat endpoint list as
-its edge list. A refactor that claims unchanged outputs must leave every one
+its edge list; the resample-rejection, clamp and large-BA digests were
+recorded before the generators drew node weights and each new BA node's
+targets in batches. A refactor that claims unchanged outputs must leave every one
 of them as it is. A digest covers a whole ``--out`` tree (relative paths and
 file contents) or one stdout capture.
 """
@@ -51,6 +53,17 @@ WS_SATURATED = ["--model", "WS", "--N", "8", "--k", "6", "--p", "0.9", "--seed",
 # targets, and each redraw takes one more value from the structure stream
 BA_DUPLICATES = ["--model", "BA", "--N", "300", "--m0", "2", "--m", "2", "--seed", "7",
                  "--realizations", "3"]
+
+# the draws behind each node weight and each BA target: weight_mean 0 rejects
+# about half of the resample draws, clamp keeps every draw but raises the
+# negative ones to the floor, and the large BA config attaches 19 989 nodes
+DRAWS = {
+    "resample_rejections": ["--model", "ER", "--N", "300", "--p", "0.05", "--weight_mean", "0",
+                            "--seed", "5", "--realizations", "2"],
+    "clamp": ["--model", "ER", "--N", "400", "--p", "0.02", "--weight_mean", "0.3",
+              "--weight_truncation", "clamp", "--seed", "9", "--realizations", "2"],
+    "ba_large": ["--model", "BA", "--N", "20000", "--m0", "11", "--m", "10", "--seed", "3"],
+}
 
 EVENTS = "p1 ana\np1 bo\np1 cy\np2 ana\np2 bo\np3 bo\np3 cy\np3 dee\np3 ed\np4 ed\np1 ana\n"
 
@@ -177,6 +190,9 @@ GOLDEN = {
     "generate_ws_n1000": "1e099947cc30f51c3711df9695ff391477dec1b7f63ae70b63de63e9310bec34",
     "generate_ws_saturated": "fd3ec6cc34b6012ac190bb742b90837f90bb32cac1161c6452b0b5a65bf40e56",
     "generate_ba_duplicates": "735592c2ff73c8ea9ae5c8eb340c42b5ccd3e0cad7a40d2a3b1e62b26b05214a",
+    "generate_resample_rejections": "db420be521df70a9125e55fab73ef75d450aa80aa8ab6a755d917dc384b3db26",
+    "generate_clamp": "9b3696e47a121a7f6b90790a5d5ebad7828bb43a39409e7fadafb2b33224589e",
+    "generate_ba_large": "ade6b3f3cfce71943bd8e38c32a4835ccded5c6c640535411cf681fc4fce944c",
     "project_out_count": "1071388009ca8e709a20127e69b901298875684dfd4b76e4f4cae90af841de85",
     "project_out_newman": "bb7e61796ca7c49ffebe7298a30d70b338b315730a4df125d5a1cd7261f9ad4a",
     "analyze_mixed_blocks": "e73d62f3acd3e0d7fe067c8da6e80f220faad9e01b0246187cf8a9e8e4c4bf4d",
@@ -250,6 +266,13 @@ def test_generate_ba_duplicates(tmp_path):
     out = tmp_path / "out"
     assert main(["generate", *BA_DUPLICATES, "--out", str(out)]) == 0
     assert tree_digest(out) == GOLDEN["generate_ba_duplicates"]
+
+
+@pytest.mark.parametrize("name", sorted(DRAWS))
+def test_generate_draws(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["generate", *DRAWS[name], "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN[f"generate_{name}"]
 
 
 @pytest.mark.parametrize("scheme", ["count", "newman"])
