@@ -7,9 +7,9 @@ stream ``SeedSequence([s, i, SEED_STREAMS[part]])``, so ensembles can run on
 any number of workers without changing the output.
 
 Weights follow a per-node scheme: each node draws w_i from a Gaussian with
-the configured mean and standard deviation (redrawn, or optionally clamped,
-until above a small positive floor), and each edge gets the average of its
-endpoint values.
+the configured mean and standard deviation (redrawn until above a small
+positive floor, or optionally clamped at it), and each edge gets the average
+of its endpoint values.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class GeneratorConfig:
             )
         if self.weight_truncation == "resample" and self.weight_stddev > 0:
             z = (WEIGHT_FLOOR - self.weight_mean) / (self.weight_stddev * math.sqrt(2.0))
-            # with P(draw > floor) >= 0.01, a node exhausts the 10 000 redraws
-            # of _node_weights with odds 0.99**10_000 < e**-100
+            # with P(draw > floor) >= 0.01, a batch of 10 000 draws in
+            # _node_weights finds none above it with odds 0.99**10_000 < e**-100
             if 0.5 * math.erfc(z) < 0.01:
                 raise ValueError(
                     "weight distribution has under 1% of its mass above the positive "
@@ -150,10 +150,10 @@ def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> np.ndarray:
     # seed clique, then degree-proportional attachment: the flat edge list is
     # the endpoint multiset drawn from; duplicate targets for one new node are
-    # redrawn (simple graph)
+    # redrawn one draw at a time (simple graph)
     ends = [x for i in range(m0) for j in range(i + 1, m0) for x in (i, j)]
     for new in range(m0, n):
-        targets: set[int] = set()
+        targets = {ends[i] for i in rng.integers(len(ends), size=m).tolist()}
         while len(targets) < m:
             targets.add(ends[int(rng.integers(len(ends)))])
         for t in sorted(targets):
@@ -161,7 +161,7 @@ def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
-def _ws_edges(n: int, k: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
+def _ws_edges(n: int, k: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # ring lattice, then one rewiring pass per lattice edge; rewired ends are
     # redrawn to avoid self-loops and duplicates, skipping saturated nodes
     edge_set: set[tuple[int, int]] = set()
@@ -184,7 +184,8 @@ def _ws_edges(n: int, k: int, p: float, rng: np.random.Generator) -> set[tuple[i
                     degree[b] -= 1
                     degree[t] += 1
                     break
-    return edge_set
+    flat = itertools.chain.from_iterable(edge_set)
+    return np.fromiter(flat, dtype=np.int64, count=2 * len(edge_set)).reshape(-1, 2)
 
 
 def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> WeightedGraph:
@@ -200,30 +201,23 @@ def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> Weig
     elif cfg.model == "BA":
         ends = _ba_edges(cfg.N, cfg.m0, cfg.m, rng)
     else:
-        edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
-        flat = itertools.chain.from_iterable(edges)
-        ends = np.fromiter(flat, dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
+        ends = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
     # every pair once, weighing 1
     return _from_pairs(dict(zip(range(cfg.N), range(cfg.N))), ends, np.ones(len(ends)))
 
 
-def _node_weights(cfg: GeneratorConfig, n: int, rng: np.random.Generator) -> list[float]:
-    weights = []
-    for _ in range(n):
-        w = float(rng.normal(cfg.weight_mean, cfg.weight_stddev))
-        if cfg.weight_truncation == "clamp":
-            w = max(w, WEIGHT_FLOOR)
-        else:
-            tries = 0
-            while w <= WEIGHT_FLOOR:
-                w = float(rng.normal(cfg.weight_mean, cfg.weight_stddev))
-                tries += 1
-                if tries > 10_000:
-                    raise ValueError(
-                        "weight distribution has almost no mass above the positive floor"
-                    )
-        weights.append(w)
-    return weights
+def _node_weights(cfg: GeneratorConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    if cfg.weight_truncation == "clamp":
+        return np.maximum(rng.normal(cfg.weight_mean, cfg.weight_stddev, n), WEIGHT_FLOOR)
+    # node i takes the i-th draw above the floor: the draw its own redraw
+    # loop would end on, one value per node from the same stream
+    weights = np.empty(0)
+    while len(weights) < n:
+        draws = rng.normal(cfg.weight_mean, cfg.weight_stddev, max(n - len(weights), 10_000))
+        if not (draws > WEIGHT_FLOOR).any():
+            raise ValueError("weight distribution has almost no mass above the positive floor")
+        weights = np.concatenate((weights, draws[draws > WEIGHT_FLOOR]))
+    return weights[:n]
 
 
 def assign_weights(

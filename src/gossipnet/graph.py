@@ -297,11 +297,10 @@ def _from_pairs(index: dict[Label, int], ends: np.ndarray, weights: np.ndarray) 
     )
 
 
-def _mean_weighted(g: WeightedGraph, node_values: Iterable[float]) -> WeightedGraph:
+def _mean_weighted(g: WeightedGraph, values: np.ndarray) -> WeightedGraph:
     """``g``'s topology with every edge weighing the mean of its endpoints'
-    values; ``0.5 * (a + b)`` is commutative, so both slots of an edge get
-    the same bits."""
-    values = np.fromiter(node_values, dtype=np.float64, count=g.node_count)
+    ``values``; ``0.5 * (a + b)`` is commutative, so both slots of an edge
+    get the same bits."""
     rows = np.repeat(np.arange(g.node_count), g._degree)
     weights = 0.5 * (values[rows] + values[g._indices])
     bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0.0)))

@@ -25,7 +25,16 @@ from gossipnet import (
     summarize,
     victim_spread,
 )
-from gossipnet.generate import _ba_edges, _er_edges, _node_weights, _pool_size, _stream, _ws_edges
+from gossipnet.generate import (
+    TRUNCATIONS,
+    WEIGHT_FLOOR,
+    _ba_edges,
+    _er_edges,
+    _node_weights,
+    _pool_size,
+    _stream,
+    _ws_edges,
+)
 
 from .conftest import assert_same_graph
 
@@ -138,13 +147,14 @@ class TestStructure:
 
 
 class _ScriptedRng:
-    """Stands in for a numpy Generator, replaying fixed normal() draws."""
+    """Stands in for a numpy Generator, replaying a fixed batch of normal()
+    draws, at most ``size`` of them."""
 
     def __init__(self, values):
-        self._values = iter(values)
+        self._values = values
 
-    def normal(self, mean, stddev):
-        return next(self._values)
+    def normal(self, mean, stddev, size):
+        return np.array(self._values[:size], dtype=np.float64)
 
 
 class TestWeights:
@@ -212,7 +222,7 @@ class TestWeights:
         elif cfg.model == "BA":
             edges = _ba_edges(cfg.N, cfg.m0, cfg.m, rng).tolist()
         else:
-            edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
+            edges = _ws_edges(cfg.N, cfg.k, cfg.p, rng).tolist()
         expected = build_graph([(i, j, 1.0) for i, j in edges], nodes=range(cfg.N))
         assert_same_graph(generate_structure(cfg, 2), expected)
 
@@ -230,6 +240,65 @@ class TestWeights:
         for v in g.labels:
             assert g.neighbors(v) == expected.neighbors(v)
             assert g.strength(v) == expected.strength(v)
+
+
+def scalar_node_weights(cfg, n, rng):
+    """Node weights one scalar draw at a time, each node redrawing until it
+    is above the floor: the reference for the batch draw."""
+    weights = []
+    for _ in range(n):
+        w = float(rng.normal(cfg.weight_mean, cfg.weight_stddev))
+        if cfg.weight_truncation == "clamp":
+            w = max(w, WEIGHT_FLOOR)
+        else:
+            while w <= WEIGHT_FLOOR:
+                w = float(rng.normal(cfg.weight_mean, cfg.weight_stddev))
+        weights.append(w)
+    return weights
+
+
+def scalar_ba_edges(n, m0, m, rng):
+    """BA attachment one scalar target draw at a time: the reference for the
+    per-node batch draw."""
+    ends = [x for i in range(m0) for j in range(i + 1, m0) for x in (i, j)]
+    for new in range(m0, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(ends[int(rng.integers(len(ends)))])
+        for t in sorted(targets):
+            ends += (t, new)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
+
+
+class TestBatchDraws:
+    """The batch draws take the same values from the same stream as the
+    scalar loops they replaced."""
+
+    @pytest.mark.parametrize("truncation", TRUNCATIONS)
+    @pytest.mark.parametrize("mean, stddev", [(1.0, 1.0), (0.0, 1.0), (0.1, 1.0),
+                                              (-0.5, 0.5), (2.0, 0.0)])
+    def test_node_weights_equal_scalar_draws(self, mean, stddev, truncation):
+        cfg = er(weight_mean=mean, weight_stddev=stddev, weight_truncation=truncation)
+        for seed in range(40):
+            for n in (1, 9, 400):
+                batch = _node_weights(cfg, n, np.random.default_rng(seed))
+                assert isinstance(batch, np.ndarray) and batch.dtype == np.float64
+                assert batch.tolist() == scalar_node_weights(cfg, n, np.random.default_rng(seed))
+
+    def test_clamp_leaves_the_stream_where_scalar_draws_do(self):
+        cfg = er(weight_mean=0.0, weight_truncation="clamp")
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        _node_weights(cfg, 50, a)
+        scalar_node_weights(cfg, 50, b)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("n, m0, m", [(300, 2, 2), (200, 2, 1), (400, 5, 3), (300, 10, 10)])
+    def test_ba_edges_equal_scalar_draws(self, n, m0, m):
+        for seed in range(25):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(_ba_edges(n, m0, m, a), scalar_ba_edges(n, m0, m, b))
+            # the stream stays aligned after the top-up draws too
+            assert a.integers(1 << 40) == b.integers(1 << 40)
 
 
 class TestEnsemble:
