@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Label, WeightedGraph, _forwarding, _local_index, _slot, _spans, _triangles
+from .graph import Label, WeightedGraph, _local_index, _spans, _triangles
 
 MODELS = ("unweighted", "weighted", "both")
 
@@ -91,7 +91,7 @@ def is_close_friend(g: WeightedGraph, s: Label, v: Label) -> bool:
     """
     if not g.has_edge(s, v):
         raise ValueError(f"no edge between {s!r} and {v!r}")
-    return not _forwarding(g, _slot(g, g.index_of(v), g.index_of(s)))
+    return g.weight(s, v) * g.degree(s) > g.strength(s)
 
 
 def _forwards(g: WeightedGraph, v_idx: int, nbrs: list[int]) -> list[bool]:
@@ -216,7 +216,11 @@ def _slot_counts(
         if run_u:
             n_per[s0:s1] = _reach_counts(s1 - s0, a, b, None)
         if run_w:
-            m_per[s0:s1] = _reach_counts(s1 - s0, a, b, _forwarding(g, slice(s0, s1)))
+            # the far end u of slot v→u forwards unless v is its close friend:
+            # w(u, v) * degree(u) > strength(u)
+            u = g._indices[s0:s1]
+            fwd = ~(g._weights[s0:s1] * g._degree[u] > g._strength[u])
+            m_per[s0:s1] = _reach_counts(s1 - s0, a, b, fwd)
     return triangles, n_per, m_per
 
 

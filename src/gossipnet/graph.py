@@ -323,17 +323,6 @@ def _local_index(g: WeightedGraph, v_idx: int) -> tuple[list[int], list[list[int
     return nbrs, ladj
 
 
-def _forwarding(g: WeightedGraph, slots: int | slice | np.ndarray) -> np.ndarray:
-    """Whether the far end u of each slot v→u forwards gossip about v.
-
-    ``u`` keeps quiet when ``v`` is its close friend: w(u, v) * degree(u)
-    > strength(u), the multiplied-through form of "tie strictly above u's
-    mean tie", exact when all of u's ties weigh the same.
-    """
-    u = g._indices[slots]
-    return ~(g._weights[slots] * g._degree[u] > g._strength[u])
-
-
 def _spans(cost: np.ndarray, limit: int) -> list[tuple[int, int]]:
     """Consecutive index ranges whose cost sums to at most ``limit``; an item
     costlier than ``limit`` gets a range of its own."""
