@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import IO, Mapping
@@ -169,7 +170,7 @@ def _out_dir(path: str | Path) -> Path:
 def _load_graph(path: str) -> WeightedGraph:
     try:
         g = parse_edge_list(path)
-    except _READ_ERRORS as exc:
+    except (*_READ_ERRORS, OverflowError) as exc:
         raise _InputError(str(exc)) from exc
     if g.edge_count == 0:
         raise _InputError(f"{path}: no edges")
@@ -222,12 +223,24 @@ def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
     return cfg
 
 
+@contextmanager
+def _weights_in_range(cfg: GeneratorConfig):
+    """Generated weights or strengths past the float range are a usage error."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise _UsageError(
+            f"weight_mean {cfg.weight_mean!r} and weight_stddev {cfg.weight_stddev!r}: {exc}"
+        ) from exc
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
     out = _out_dir(args.out)
     files = []
     for i in range(cfg.realizations):
-        g = realization(cfg, i)
+        with _weights_in_range(cfg):
+            g = realization(cfg, i)
         name = f"realization_{i:03d}.edges"
         write_edge_list(g, out / name)
         files.append(name)
@@ -254,7 +267,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     out = _unmade_dir(args.out)
-    ens = run_ensemble(cfg, min_samples=args.min_samples, workers=args.workers)
+    with _weights_in_range(cfg):
+        ens = run_ensemble(cfg, min_samples=args.min_samples, workers=args.workers)
     _out_dir(out)
     summary_rows = [
         {column: getattr(s, f) for column, f in SUMMARY_COLUMNS} for s in ens.summaries

@@ -77,12 +77,13 @@ def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sums = np.zeros(len(degree))
     filled = np.flatnonzero(degree)
     if filled.size:
-        sums[filled] = np.add.reduceat(weights, indptr[filled])
+        with np.errstate(over="ignore"):  # an overflowing row stays inf
+            sums[filled] = np.add.reduceat(weights, indptr[filled])
     fractional = np.concatenate(([0], np.cumsum(weights != np.floor(weights))))
     inexact = (degree > 2) & (
         (fractional[indptr[1:]] > fractional[indptr[:-1]]) | (sums >= 2.0**53)
     )
-    inexact |= ~np.isfinite(sums)  # fsum raises OverflowError here
+    inexact &= np.isfinite(sums)
     rows = np.flatnonzero(inexact)
     # one row at a time becomes Python floats
     for v, a, b in zip(rows.tolist(), indptr[rows].tolist(), indptr[rows + 1].tolist()):
@@ -93,7 +94,8 @@ def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class WeightedGraph:
     """Undirected simple graph with positive edge weights, immutable once built.
 
-    Construct via :func:`build_graph`. Safe to share across threads or
+    Construct via :func:`build_graph`. A node strength past the float range
+    raises OverflowError naming the node. Safe to share across threads or
     processes; all accessors are read-only and return Python numbers.
     """
 
@@ -116,6 +118,9 @@ class WeightedGraph:
         self._weights = _frozen(weights)
         self._degree = _frozen(np.diff(indptr))
         self._strength = _frozen(_row_sums(indptr, weights))
+        over = np.flatnonzero(~np.isfinite(self._strength))
+        if over.size:
+            raise OverflowError(f"node {self._labels[over[0]]!r}: strength past the float range")
 
     # -- basic counts -------------------------------------------------------
 
@@ -266,7 +271,8 @@ def _from_pairs(index: dict[Label, int], ends: np.ndarray, weights: np.ndarray) 
     """The graph of validated records: ``ends`` holds the dense indices of
     each record's two nodes, one row per record, ``weights`` its weight.
 
-    Records of one pair merge by summing their weights in record order.
+    Records of one pair merge by summing their weights in record order; a
+    sum past the float range raises OverflowError naming the pair.
     """
     n = len(index)
     keys = np.minimum(ends[:, 0], ends[:, 1])
@@ -276,8 +282,14 @@ def _from_pairs(index: dict[Label, int], ends: np.ndarray, weights: np.ndarray) 
     del keys
     merged = np.zeros(len(pair_keys))
     # unbuffered and in record order: each merged weight is the left fold
-    np.add.at(merged, pair_of_record, weights)
+    with np.errstate(over="ignore"):
+        np.add.at(merged, pair_of_record, weights)
     del pair_of_record
+    over = np.flatnonzero(~np.isfinite(merged))
+    if over.size:
+        labels = list(index)
+        a, b = divmod(int(pair_keys[over[0]]), n)
+        raise OverflowError(f"edge {labels[a]!r} {labels[b]!r}: weight past the float range")
 
     m = len(pair_keys)
     lo, hi = np.divmod(pair_keys, max(n, 1))
@@ -302,10 +314,8 @@ def _mean_weighted(g: WeightedGraph, values: np.ndarray) -> WeightedGraph:
     ``values``; ``0.5 * (a + b)`` is commutative, so both slots of an edge
     get the same bits."""
     rows = np.repeat(np.arange(g.node_count), g._degree)
-    weights = 0.5 * (values[rows] + values[g._indices])
-    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0.0)))
-    if bad.size:
-        _check_weight(float(weights[bad[0]]))
+    with np.errstate(over="ignore"):  # the graph refuses the strengths then
+        weights = 0.5 * (values[rows] + values[g._indices])
     return WeightedGraph(g._index, g._indptr, g._indices, g._reverse, weights)
 
 

@@ -359,6 +359,29 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a b 1e308\na b 1e308\n", "edge 'a' 'b'"),
+            ("a b 1e308\na c 1e308\nb c 1\n", "node 'a'"),
+        ],
+        ids=["merged_weight", "strength"],
+    )
+    def test_overflowing_input_weights_are_input_errors(self, tmp_path, capsys, text, message):
+        src = tmp_path / "big.edges"
+        src.write_text(text, encoding="utf-8")
+        assert run("analyze", "--input", str(src), "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_overflowing_generated_weights_are_usage_errors(self, tmp_path, capsys, command):
+        code = run(command, "--model", "ER", "--N", "50", "--p", "0.1", "--weight_stddev", "0",
+                   "--weight_mean", "1e308", "--realizations", "1", "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "weight_mean 1e+308 and weight_stddev 0.0" in err and "float range" in err
+
     @pytest.mark.parametrize("command,out", [("analyze", "a"), ("project", "b/x.edges")])
     def test_input_error_makes_no_out(self, tmp_path, command, out):
         missing = str(tmp_path / "nope")

@@ -39,6 +39,19 @@ def test_rejects_nonpositive_or_nonfinite_weight(bad):
         build_graph([("a", "b", bad)])
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([("a", "b", 1e308), ("a", "b", 1e308)], "edge 'a' 'b'"),
+        ([("a", "b", 1e308), ("a", "c", 1e308), ("b", "c", 1.0)], "node 'a'"),
+    ],
+    ids=["merged_weight", "strength"],
+)
+def test_sums_past_the_float_range_are_refused(records, message):
+    with pytest.raises(OverflowError, match=message):
+        build_graph(records)
+
+
 @pytest.mark.parametrize("bad", ["2", None, True])
 def test_rejects_non_numeric_weight(bad):
     with pytest.raises(ValueError, match="non-numeric"):
