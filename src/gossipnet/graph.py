@@ -13,8 +13,10 @@ the neighborhood of the victim v.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
 
@@ -59,6 +61,17 @@ class Neighborhood:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+
+def _label_index() -> defaultdict:
+    """Labels to dense indices in order of first appearance: looking up a
+    label not yet held adds it with the next index. A graph keeps the index
+    with its ``default_factory`` set to None, so it never grows again."""
+    return defaultdict(itertools.count().__next__)
+
+
+def _intern(index: defaultdict, labels: list) -> np.ndarray:
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -245,10 +258,10 @@ def build_graph(
     ``records``; neighbors are in ascending index order, so neighbor order
     does not depend on the order of the records.
     """
-    index: dict[Label, int] = {}
+    index = _label_index()
     if nodes is not None:
         for label in nodes:
-            index.setdefault(label, len(index))
+            index[label]  # a new label takes the next index
 
     ends = array("q")
     record_weights = array("d")
@@ -258,8 +271,9 @@ def build_graph(
         if not (type(w) is float and 0.0 < w < math.inf):  # NaN fails too
             w = _check_weight(w)
         record_weights.append(w)
-        ends.append(index.setdefault(i_lab, len(index)))
-        ends.append(index.setdefault(j_lab, len(index)))
+        ends.append(index[i_lab])
+        ends.append(index[j_lab])
+    index.default_factory = None
     return _from_pairs(
         index,
         np.frombuffer(ends, dtype=np.int64).reshape(-1, 2),
@@ -293,17 +307,16 @@ def _from_pairs(index: dict[Label, int], ends: np.ndarray, weights: np.ndarray) 
 
     m = len(pair_keys)
     lo, hi = np.divmod(pair_keys, max(n, 1))
-    rows = np.concatenate((lo, hi))
     cols = np.concatenate((hi, lo))
     # the sort keys row * n + col are distinct, so this is the (row, col) order
     order = np.argsort(np.concatenate((pair_keys, hi * n + lo)))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
     del lo, hi, pair_keys
-    # entry e and entry e + M of rows/cols are the two directions of one edge
+    # entry e and entry e + M of cols are the two directions of one edge
     slot_of = np.empty(2 * m, dtype=np.int32)
     slot_of[order] = np.arange(2 * m, dtype=np.int32)
     reverse = slot_of[(order + m) % max(2 * m, 1)]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return WeightedGraph(
         index, indptr, cols[order], reverse, np.concatenate((merged, merged))[order]
     )

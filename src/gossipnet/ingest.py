@@ -19,7 +19,7 @@ from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import WeightedGraph, _from_pairs, _pairs_after
+from .graph import WeightedGraph, _from_pairs, _intern, _label_index, _pairs_after
 
 SEPARATORS = ("auto", "comma", "whitespace")
 
@@ -70,36 +70,12 @@ def _numbered(lines: Iterable[str], lineno: int) -> Iterator[tuple[int, str]]:
 def parse_edge_list(path: str | PathLike[str], sep: str = "auto") -> WeightedGraph:
     """Parse a weighted edge list into a graph (duplicates merge by sum);
     dense indices follow first appearance, as build_graph's do."""
-    labels = _Labels()
+    index = _label_index()
     ends, weights = _read_blocks(
-        path, sep, 3, lambda tokens: _fast_edges(tokens, labels), _check_edge
+        path, sep, 3, lambda tokens: _fast_edges(tokens, index), _check_edge
     )
-    names, ends = labels.dense(ends)
-    del labels  # free its position table before the graph is built
-    return _from_pairs(dict(zip(names, range(len(names)))), ends.reshape(-1, 2), weights)
-
-
-class _Labels:
-    """Labels interned in order of first appearance. Every field read takes
-    the next position; a label keeps the position of its first field."""
-
-    def __init__(self) -> None:
-        self.first: dict = {}
-        self.positions = itertools.count()
-
-    def intern_all(self, labels: list) -> np.ndarray:
-        return np.fromiter(
-            map(self.first.setdefault, labels, self.positions), dtype=np.int64, count=len(labels)
-        )
-
-    def dense(self, positions: np.ndarray) -> tuple[list, np.ndarray]:
-        """(labels in order of first appearance, the dense index of each of
-        ``positions``), in O(fields), where a ``np.unique`` would sort."""
-        table = np.empty(next(self.positions), dtype=np.int64)
-        table[np.fromiter(self.first.values(), dtype=np.int64, count=len(self.first))] = (
-            np.arange(len(self.first))
-        )
-        return list(self.first), table[positions]
+    index.default_factory = None
+    return _from_pairs(index, ends.reshape(-1, 2), weights)
 
 
 def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray]:
@@ -159,9 +135,9 @@ def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
     return block.split()
 
 
-def _fast_edges(tokens: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndarray] | None:
-    """(end positions, weights) of a block's tokens, or None when any record
-    needs the line loop."""
+def _fast_edges(tokens: list[str], index: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """(end indices, weights) of a block's tokens, interned in ``index``, or
+    None when any record needs the line loop."""
     try:
         weights = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(tokens) // 3)
     except ValueError:
@@ -169,7 +145,7 @@ def _fast_edges(tokens: list[str], labels: _Labels) -> tuple[np.ndarray, np.ndar
     if not np.all((weights > 0.0) & (weights < math.inf)):  # NaN fails too
         return None
     del tokens[2::3]
-    ends = labels.intern_all(tokens)
+    ends = _intern(index, tokens)
     if np.any(ends[0::2] == ends[1::2]):  # a self-loop, which the line loop reports
         return None
     return ends, weights
@@ -261,14 +237,14 @@ class _Events(NamedTuple):
 
 def _read_events(path: str | PathLike[str], sep: str) -> _Events:
     """The records of a bipartite event file, read in blocks like an edge list."""
-    groups, members = _Labels(), _Labels()
+    groups, members = _label_index(), _label_index()
 
     def plain(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        return groups.intern_all(tokens[0::2]), members.intern_all(tokens[1::2])
+        return _intern(groups, tokens[0::2]), _intern(members, tokens[1::2])
 
     # any two fields are an event record
-    group_pos, member_pos = _read_blocks(path, sep, 2, plain, lambda *_: None)
-    return _Events(*groups.dense(group_pos), *members.dense(member_pos))
+    group_ids, member_ids = _read_blocks(path, sep, 2, plain, lambda *_: None)
+    return _Events(list(groups), group_ids, list(members), member_ids)
 
 
 def _to_events(
@@ -279,9 +255,10 @@ def _to_events(
     if isinstance(events, Mapping):
         events = ((g, m) for g, members in events.items() for m in members)
     pairs = list(events)
-    groups, members = _Labels(), _Labels()
-    return _Events(*groups.dense(groups.intern_all([g for g, _ in pairs])),
-                   *members.dense(members.intern_all([m for _, m in pairs])))
+    groups, members = _label_index(), _label_index()
+    group_ids = _intern(groups, [g for g, _ in pairs])
+    member_ids = _intern(members, [m for _, m in pairs])
+    return _Events(list(groups), group_ids, list(members), member_ids)
 
 
 def _normalize(events: _Events) -> tuple[list, np.ndarray, np.ndarray]:

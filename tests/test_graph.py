@@ -66,10 +66,17 @@ def test_declared_nodes_kept_isolated():
     assert g.profile("x").threshold is None
 
 
-def test_unknown_node_raises():
-    g = build_graph([("a", "b", 1.0)])
+@pytest.mark.parametrize("builder", ["build_graph", "parse_edge_list"])
+def test_unknown_node_raises(tmp_path, builder):
+    if builder == "build_graph":
+        g = build_graph([("a", "b", 1.0)])
+    else:
+        (tmp_path / "g.edges").write_text("a b 1\n", encoding="utf-8")
+        g = parse_edge_list(tmp_path / "g.edges")
     with pytest.raises(KeyError, match="unknown node"):
         g.degree("zzz")
+    # a failed lookup does not add the label to the graph's index
+    assert (g.node_count, len(g._index)) == (2, 2)
     with pytest.raises(KeyError, match="no edge"):
         g.weight("a", "a")
 
