@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -158,13 +159,15 @@ def _unmade_dir(path: str | Path) -> Path:
     return Path(path)
 
 
-def _out_dir(path: str | Path) -> Path:
-    """``path`` as an output directory, made if missing."""
+def _out_dir(path: str | Path) -> Path | None:
+    """Make the output directory ``path`` if missing; returns the outermost
+    directory this made, or None when ``path`` existed."""
+    made = next((p for p in (*reversed(Path(path).parents), Path(path)) if not p.exists()), None)
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _UsageError(f"--out: cannot make directory {str(path)!r}: {exc.strerror}") from exc
-    return Path(path)
+    return made
 
 
 def _load_graph(path: str) -> WeightedGraph:
@@ -236,15 +239,23 @@ def _weights_in_range(cfg: GeneratorConfig):
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
-    out = _out_dir(args.out)
+    out = Path(args.out)
+    made = _out_dir(out)
     files = []
-    for i in range(cfg.realizations):
-        with _weights_in_range(cfg):
-            g = realization(cfg, i)
-        name = f"realization_{i:03d}.edges"
-        write_edge_list(g, out / name)
-        files.append(name)
-        _note(f"wrote {out / name} (N={g.node_count}, M={g.edge_count})")
+    try:
+        for i in range(cfg.realizations):
+            with _weights_in_range(cfg):
+                g = realization(cfg, i)
+            name = f"realization_{i:03d}.edges"
+            files.append(name)
+            write_edge_list(g, out / name)
+            _note(f"wrote {out / name} (N={g.node_count}, M={g.edge_count})")
+    except Exception:  # leave nothing this run wrote
+        for name in files:
+            (out / name).unlink(missing_ok=True)
+        if made is not None:
+            shutil.rmtree(made)
+        raise
     _write_json(
         out / "manifest.json",
         {
@@ -318,11 +329,12 @@ def cmd_project(args: argparse.Namespace) -> int:
         _note(f"warning: {args.input}: no event records, writing empty output")
     project = project_count if args.scheme == "count" else project_newman
     g = project(events)
-    if args.out is not None:
-        _out_dir(out.parent)
+    made = None if args.out is None else _out_dir(out.parent)
     try:
         write_edge_list(g, out)
-    except ValueError as exc:  # unwritable labels in the input data
+    except ValueError as exc:  # unwritable labels in the input data; nothing written yet
+        if made is not None:
+            shutil.rmtree(made)
         raise _InputError(str(exc)) from exc
     if args.out is None:
         return 0

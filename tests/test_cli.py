@@ -388,6 +388,32 @@ class TestExitCodes:
         assert run(command, "--input", missing, "--out", str(tmp_path / "new" / out)) == 2
         assert not (tmp_path / "new").exists()
 
+    def test_unwritable_projection_leaves_no_out(self, tmp_path, capsys):
+        src = tmp_path / "ev.txt"
+        src.write_text("g1,a b\ng1,c\n", encoding="utf-8")
+        (tmp_path / "old").mkdir()
+        for out in ("new/sub/net.edges", "old/net.edges"):
+            assert run("project", "--input", str(src), "--out", str(tmp_path / out)) == 2
+            assert "label 'a b' cannot be written" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.txt", "old"]
+        assert list((tmp_path / "old").iterdir()) == []
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_realization_leaves_no_out(self, tmp_path, capsys, existed):
+        # seed 0: realizations 0 and 1 are written, realization 2 has a node
+        # of degree 3 whose strength 3 * 6e307 overflows
+        out = tmp_path / "d" if existed else tmp_path / "new" / "d"
+        if existed:
+            out.mkdir()
+        code = run("generate", "--model", "ER", "--N", "4", "--p", "0.5", "--weight_stddev", "0",
+                   "--weight_mean", "6e307", "--seed", "0", "--realizations", "3",
+                   "--out", str(out))
+        assert code == 1
+        assert "realization_001.edges" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == (["d"] if existed else [])
+        if existed:
+            assert list(out.iterdir()) == []
+
     def test_analyze_rerun_byte_identical(self, tmp_path, sample_file):
         trees = []
         for name in ("r1", "r2"):
