@@ -67,6 +67,7 @@ def _label_index() -> defaultdict:
     """Labels to dense indices in order of first appearance: looking up a
     label not yet held adds it with the next index. A graph keeps the index
     with its ``default_factory`` set to None, so it never grows again."""
+    # not index.__len__: a method of the index would make a cycle, freed late
     return defaultdict(itertools.count().__next__)
 
 
