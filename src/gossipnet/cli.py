@@ -9,7 +9,7 @@ Output conventions: progress goes to stderr, stdout carries CSV only (when
 no --out is given), CSV files use empty cells for absent values and JSON
 files use null, and identical invocations (same seed, any worker count)
 produce byte-identical outputs. Exit codes: 0 success, 1 usage error,
-2 input error, 3 internal error.
+2 input error, 3 internal error; a failed command removes what it wrote.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import csv
 import json
 import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import IO, Mapping
@@ -150,126 +150,125 @@ def _write_labels(path: Path, g: WeightedGraph) -> None:
 # -- commands -----------------------------------------------------------------
 
 
-def _unmade_dir(path: str | Path) -> Path:
-    """``path`` as an output directory not yet made: a usage error when it,
-    or the nearest part of it that exists, is not a directory."""
-    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
-    if not existing.is_dir():
-        raise _UsageError(f"--out: {str(existing)!r} is not a directory")
-    return Path(path)
-
-
-def _out_dir(path: str | Path) -> Path | None:
-    """Make the output directory ``path`` if missing; returns the outermost
-    directory this made, or None when ``path`` existed."""
-    made = next((p for p in (*reversed(Path(path).parents), Path(path)) if not p.exists()), None)
+@contextmanager
+def _blamed(kind: type[Exception], errors, prefix: str = ""):
+    """Re-raise ``errors`` as ``kind``, _UsageError (exit 1) or _InputError
+    (exit 2), with ``prefix`` before the message."""
     try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _UsageError(f"--out: cannot make directory {str(path)!r}: {exc.strerror}") from exc
-    return made
+        yield
+    except errors as exc:
+        raise kind(f"{prefix}{exc}") from exc
 
 
-def _load_graph(path: str) -> WeightedGraph:
+@contextmanager
+def _out_dir(path: str | Path):
+    """Make the output directory ``path`` and yield ``file(name)``, which
+    records and returns the path of each output file written in it.
+
+    When the block fails, interrupts included, this removes the outermost
+    directory it made, or else the recorded files, and notes each removal;
+    an OSError on a recorded file is a usage error naming it."""
+    path = Path(path)
+    made = next((p for p in (*reversed(path.parents), path) if not p.exists()), None)
+    with _blamed(_UsageError, OSError, "--out: cannot make directory: "):
+        path.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+
+    def file(name: str) -> Path:
+        written.append(path / name)
+        return path / name
+
     try:
-        g = parse_edge_list(path)
-    except (*_READ_ERRORS, OverflowError) as exc:
-        raise _InputError(str(exc)) from exc
-    if g.edge_count == 0:
-        raise _InputError(f"{path}: no edges")
-    return g
+        yield file
+    except BaseException as exc:
+        for p in [made] if made is not None else [p for p in written if p.is_file()]:
+            if p == made:
+                shutil.rmtree(p)
+            else:
+                p.unlink()
+            _note(f"removed {p}")
+        if isinstance(exc, OSError) and exc.filename in map(str, written):
+            raise _UsageError(f"--out: cannot write {exc.filename!r}: {exc.strerror}") from exc
+        raise
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    out = None if args.out is None else _unmade_dir(args.out)
-    g = _load_graph(args.input)
-    analysis = analyze_network(g, args.model, args.min_samples)
-    summary_row = {column: getattr(analysis.summary, f) for column, f in SUMMARY_COLUMNS}
-    if out is None:
-        _write_csv(sys.stdout, SUMMARY_HEADER, [summary_row])
-        return 0
-    _out_dir(out)
-    curve_rows = _curve_rows(
-        {"count": _counts(analysis.cc_curve)},
-        {
-            "sigma_k": analysis.sigma_curve,
-            "beta_k": analysis.beta_curve,
-            "cc_k": analysis.cc_curve,
-            "beta_over_sigma_k": analysis.beta_over_sigma_curve,
-            "beta_over_sigma_cc_k": analysis.beta_over_sigma_cc_curve,
-        },
-    )
-    if args.format in ("csv", "both"):
-        _write_csv(out / "summary.csv", SUMMARY_HEADER, [summary_row])
-        _write_csv(out / "curves.csv", CURVE_COLUMNS, curve_rows)
-        _note(f"wrote {out / 'summary.csv'} and {out / 'curves.csv'}")
-    if args.format in ("json", "both"):
-        _write_json(
-            out / "summary.json",
-            {"schema_version": SCHEMA_VERSION, "model": args.model, "summary": summary_row},
+    with nullcontext() if args.out is None else _out_dir(args.out) as file:
+        with _blamed(_InputError, (*_READ_ERRORS, OverflowError)):
+            g = parse_edge_list(args.input)
+        if g.edge_count == 0:
+            raise _InputError(f"{args.input}: no edges")
+        analysis = analyze_network(g, args.model, args.min_samples)
+        summary_row = {column: getattr(analysis.summary, f) for column, f in SUMMARY_COLUMNS}
+        if file is None:
+            _write_csv(sys.stdout, SUMMARY_HEADER, [summary_row])
+            return 0
+        out = Path(args.out)
+        curve_rows = _curve_rows(
+            {"count": _counts(analysis.cc_curve)},
+            {
+                "sigma_k": analysis.sigma_curve,
+                "beta_k": analysis.beta_curve,
+                "cc_k": analysis.cc_curve,
+                "beta_over_sigma_k": analysis.beta_over_sigma_curve,
+                "beta_over_sigma_cc_k": analysis.beta_over_sigma_cc_curve,
+            },
         )
-        _write_json(
-            out / "curves.json",
-            {"schema_version": SCHEMA_VERSION, "model": args.model, "curves": curve_rows},
-        )
-        _note(f"wrote {out / 'summary.json'} and {out / 'curves.json'}")
-    _write_labels(out / "labels.csv", g)
+        if args.format in ("csv", "both"):
+            _write_csv(file("summary.csv"), SUMMARY_HEADER, [summary_row])
+            _write_csv(file("curves.csv"), CURVE_COLUMNS, curve_rows)
+            _note(f"wrote {out / 'summary.csv'} and {out / 'curves.csv'}")
+        if args.format in ("json", "both"):
+            _write_json(
+                file("summary.json"),
+                {"schema_version": SCHEMA_VERSION, "model": args.model, "summary": summary_row},
+            )
+            _write_json(
+                file("curves.json"),
+                {"schema_version": SCHEMA_VERSION, "model": args.model, "curves": curve_rows},
+            )
+            _note(f"wrote {out / 'summary.json'} and {out / 'curves.json'}")
+        _write_labels(file("labels.csv"), g)
     return 0
 
 
 def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
     cfg = GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(GeneratorConfig)})
-    try:
+    with _blamed(_UsageError, ValueError):
         cfg.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     return cfg
 
 
-@contextmanager
 def _weights_in_range(cfg: GeneratorConfig):
     """Generated weights or strengths past the float range are a usage error."""
-    try:
-        yield
-    except OverflowError as exc:
-        raise _UsageError(
-            f"weight_mean {cfg.weight_mean!r} and weight_stddev {cfg.weight_stddev!r}: {exc}"
-        ) from exc
+    prefix = f"weight_mean {cfg.weight_mean!r} and weight_stddev {cfg.weight_stddev!r}: "
+    return _blamed(_UsageError, OverflowError, prefix)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
     out = Path(args.out)
-    made = _out_dir(out)
-    files = []
-    try:
-        for i in range(cfg.realizations):
+    files = [f"realization_{i:03d}.edges" for i in range(cfg.realizations)]
+    with _out_dir(out) as file:
+        for i, name in enumerate(files):
             with _weights_in_range(cfg):
                 g = realization(cfg, i)
-            name = f"realization_{i:03d}.edges"
-            files.append(name)
-            write_edge_list(g, out / name)
+            write_edge_list(g, file(name))
             _note(f"wrote {out / name} (N={g.node_count}, M={g.edge_count})")
-    except Exception:  # leave nothing this run wrote
-        for name in files:
-            (out / name).unlink(missing_ok=True)
-        if made is not None:
-            shutil.rmtree(made)
-        raise
-    _write_json(
-        out / "manifest.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "generate",
-            "config": asdict(cfg),
-            "seed_streams": {
-                part: [cfg.seed, "realization_index", stream]
-                for part, stream in generate.SEED_STREAMS.items()
+        _write_json(
+            file("manifest.json"),
+            {
+                "schema_version": SCHEMA_VERSION,
+                "kind": "generate",
+                "config": asdict(cfg),
+                "seed_streams": {
+                    part: [cfg.seed, "realization_index", stream]
+                    for part, stream in generate.SEED_STREAMS.items()
+                },
+                "files": files,
             },
-            "files": files,
-        },
-    )
-    _note(f"wrote {out / 'manifest.json'}")
+        )
+        _note(f"wrote {out / 'manifest.json'}")
     return 0
 
 
@@ -277,69 +276,60 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
-    out = _unmade_dir(args.out)
-    with _weights_in_range(cfg):
-        ens = run_ensemble(cfg, min_samples=args.min_samples, workers=args.workers)
-    _out_dir(out)
-    summary_rows = [
-        {column: getattr(s, f) for column, f in SUMMARY_COLUMNS} for s in ens.summaries
-    ]
-    if args.format in ("csv", "both"):
-        rows = [{"realization": i, **row} for i, row in enumerate(summary_rows)]
-        _write_csv(out / "realizations.csv", ("realization",) + SUMMARY_HEADER, rows)
-        _write_csv(
-            out / "mean_curves.csv",
-            ("k", "realizations", "victims", "sigma_k", "beta_k", "cc_k"),
-            _curve_rows(
-                {"realizations": ens.curve_realizations, "victims": _counts(ens.sigma_curve)},
-                {"sigma_k": ens.sigma_curve, "beta_k": ens.beta_curve, "cc_k": ens.cc_curve},
-            ),
-        )
-        _note(f"wrote {out / 'realizations.csv'} and {out / 'mean_curves.csv'}")
-    if args.format in ("json", "both"):
-        _write_json(
-            out / "ensemble.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "config": asdict(cfg),
-                "realizations": cfg.realizations,
-                "mean": ens.mean,
-                "std": ens.std,
-                "defined": ens.defined,
-                "k0_of_mean_curve": ens.k0_of_mean_curve,
-                "k0w_of_mean_curve": ens.k0w_of_mean_curve,
-                "summaries": summary_rows,
-            },
-        )
-        _note(f"wrote {out / 'ensemble.json'}")
+    out = Path(args.out)
+    with _out_dir(out) as file:
+        with _weights_in_range(cfg):
+            ens = run_ensemble(cfg, min_samples=args.min_samples, workers=args.workers)
+        summary_rows = [
+            {column: getattr(s, f) for column, f in SUMMARY_COLUMNS} for s in ens.summaries
+        ]
+        if args.format in ("csv", "both"):
+            rows = [{"realization": i, **row} for i, row in enumerate(summary_rows)]
+            _write_csv(file("realizations.csv"), ("realization",) + SUMMARY_HEADER, rows)
+            _write_csv(
+                file("mean_curves.csv"),
+                ("k", "realizations", "victims", "sigma_k", "beta_k", "cc_k"),
+                _curve_rows(
+                    {"realizations": ens.curve_realizations, "victims": _counts(ens.sigma_curve)},
+                    {"sigma_k": ens.sigma_curve, "beta_k": ens.beta_curve, "cc_k": ens.cc_curve},
+                ),
+            )
+            _note(f"wrote {out / 'realizations.csv'} and {out / 'mean_curves.csv'}")
+        if args.format in ("json", "both"):
+            _write_json(
+                file("ensemble.json"),
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "config": asdict(cfg),
+                    "realizations": cfg.realizations,
+                    "mean": ens.mean,
+                    "std": ens.std,
+                    "defined": ens.defined,
+                    "k0_of_mean_curve": ens.k0_of_mean_curve,
+                    "k0w_of_mean_curve": ens.k0w_of_mean_curve,
+                    "summaries": summary_rows,
+                },
+            )
+            _note(f"wrote {out / 'ensemble.json'}")
     return 0
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    out = sys.stdout if args.out is None else Path(args.out)
-    if args.out is not None:
-        _unmade_dir(out.parent)
-        if out.is_dir():
-            raise _UsageError(f"--out: {args.out!r} is a directory")
-    try:
-        events = _read_events(args.input, "auto")
-    except _READ_ERRORS as exc:
-        raise _InputError(str(exc)) from exc
-    if not events.groups:
-        _note(f"warning: {args.input}: no event records, writing empty output")
-    project = project_count if args.scheme == "count" else project_newman
-    g = project(events)
-    made = None if args.out is None else _out_dir(out.parent)
-    try:
-        write_edge_list(g, out)
-    except ValueError as exc:  # unwritable labels in the input data; nothing written yet
-        if made is not None:
-            shutil.rmtree(made)
-        raise _InputError(str(exc)) from exc
-    if args.out is None:
-        return 0
-    _note(f"wrote {out} (N={g.node_count}, M={g.edge_count})")
-    _write_labels(Path(str(out) + ".labels.csv"), g)
+    out = None if args.out is None else Path(args.out)
+    if out is not None and out.is_dir():
+        raise _UsageError(f"--out: {args.out!r} is a directory")
+    with nullcontext() if out is None else _out_dir(out.parent) as file:
+        with _blamed(_InputError, _READ_ERRORS):
+            events = _read_events(args.input, "auto")
+        if not events.groups:
+            _note(f"warning: {args.input}: no event records, writing empty output")
+        project = project_count if args.scheme == "count" else project_newman
+        g = project(events)
+        with _blamed(_InputError, ValueError):  # labels the edge-list reader cannot read back
+            write_edge_list(g, sys.stdout if file is None else file(out.name))
+        if file is not None:
+            _note(f"wrote {out} (N={g.node_count}, M={g.edge_count})")
+            _write_labels(file(out.name + ".labels.csv"), g)
     return 0
 
 

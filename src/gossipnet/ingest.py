@@ -43,8 +43,6 @@ def _split(line: str, sep: str) -> list[str]:
 
 
 def _detect_sep(first_data_line: str, sep: str) -> str:
-    if sep not in SEPARATORS:
-        raise ValueError(f"sep must be one of {SEPARATORS}, got {sep!r}")
     if sep != "auto":
         return sep
     return "comma" if "," in first_data_line else "whitespace"
@@ -89,6 +87,8 @@ def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray
     first bad line. Either way the block's tokens go to ``plain(tokens)``,
     which returns a tuple of arrays, one per column.
     """
+    if sep not in SEPARATORS:
+        raise ValueError(f"sep must be one of {SEPARATORS}, got {sep!r}")
     parts = []
     chosen = None
     lineno = 0

@@ -414,6 +414,53 @@ class TestExitCodes:
         if existed:
             assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, blocked, removed",
+        [
+            ("analyze", "curves.csv", "summary.csv"),
+            ("sweep", "mean_curves.csv", "realizations.csv"),
+            ("project", "net.edges.labels.csv", "net.edges"),
+        ],
+    )
+    def test_unwritable_output_file_is_usage_error(
+        self, tmp_path, capsys, sample_file, command, blocked, removed
+    ):
+        out = tmp_path / "t"
+        (out / blocked).mkdir(parents=True)
+        events = tmp_path / "events.txt"
+        events.write_text("e1 a\ne1 b\ne1 c\n")
+        argv = {
+            "analyze": ("--input", str(sample_file), "--out", str(out)),
+            "sweep": ("--model", "ER", "--N", "20", "--p", "0.3", "--realizations", "2",
+                      "--out", str(out)),
+            "project": ("--input", str(events), "--out", str(out / "net.edges")),
+        }[command]
+        assert run(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert str(out / blocked) in err and "internal error" not in err
+        assert f"removed {out / removed}" in err
+        assert [p.name for p in out.iterdir()] == [blocked]
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_interrupted_generate_leaves_no_out(self, tmp_path, monkeypatch, existed):
+        out = tmp_path / "d" if existed else tmp_path / "new" / "d"
+        if existed:
+            out.mkdir()
+        made = cli.realization
+
+        def interrupted(cfg, i):
+            if i == 2:
+                raise KeyboardInterrupt
+            return made(cfg, i)
+
+        monkeypatch.setattr(cli, "realization", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run("generate", "--model", "ER", "--N", "10", "--p", "0.5", "--realizations", "3",
+                "--out", str(out))
+        assert [p.name for p in tmp_path.iterdir()] == (["d"] if existed else [])
+        if existed:
+            assert list(out.iterdir()) == []
+
     def test_analyze_rerun_byte_identical(self, tmp_path, sample_file):
         trees = []
         for name in ("r1", "r2"):

@@ -97,6 +97,8 @@ class TestParseEdgeList:
 def reference_records(path, sep: str = "auto") -> list[tuple[str, str, float]]:
     """The records of an edge list read one line at a time: the reader's
     specification, errors and line numbers included."""
+    if sep not in ("auto", "comma", "whitespace"):
+        raise ValueError(f"bad sep {sep!r}")
     records, chosen = [], None
     with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -104,8 +106,6 @@ def reference_records(path, sep: str = "auto") -> list[tuple[str, str, float]]:
             if not line or line.startswith("#"):
                 continue
             if chosen is None:
-                if sep not in ("auto", "comma", "whitespace"):
-                    raise ValueError(f"bad sep {sep!r}")
                 chosen = sep if sep != "auto" else "comma" if "," in line else "whitespace"
             if chosen == "comma":
                 fields = [f.strip() for f in line.split(",")]
@@ -242,13 +242,16 @@ class TestBlockReader:
             parse_edge_list(p, sep="comma")
         assert str(info.value) == str(reference_error(p, "comma"))
 
-    def test_unknown_separator_raises_only_on_data(self, tmp_path):
+    @pytest.mark.parametrize("reader", [parse_edge_list, parse_bipartite],
+                             ids=["edges", "events"])
+    @pytest.mark.parametrize("text", [None, "", "# only a comment\n\n", "# c\na b 1\n"],
+                             ids=["missing", "empty", "comment_only", "data"])
+    def test_unknown_separator_raises_before_reading(self, tmp_path, reader, text):
         p = tmp_path / "g.edges"
-        p.write_text("# only a comment\n\n")
-        assert parse_edge_list(p, sep="tabs").node_count == 0
-        p.write_text("# only a comment\na b 1\n")
-        with pytest.raises(ValueError, match="sep"):
-            parse_edge_list(p, sep="tabs")
+        if text is not None:
+            p.write_text(text)
+        with pytest.raises(ValueError, match="sep must be one of"):
+            reader(p, sep="tabs")
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "g.edges"
@@ -376,6 +379,8 @@ class TestParseBipartite:
 def reference_events(path, sep: str = "auto") -> list[tuple[str, str]]:
     """The records of an event file read one line at a time: the reader's
     specification, errors and line numbers included."""
+    if sep not in ("auto", "comma", "whitespace"):
+        raise ValueError(f"bad sep {sep!r}")
     records, chosen = [], None
     with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -383,8 +388,6 @@ def reference_events(path, sep: str = "auto") -> list[tuple[str, str]]:
             if not line or line.startswith("#"):
                 continue
             if chosen is None:
-                if sep not in ("auto", "comma", "whitespace"):
-                    raise ValueError(f"bad sep {sep!r}")
                 chosen = sep if sep != "auto" else "comma" if "," in line else "whitespace"
             if chosen == "comma":
                 fields = [f.strip() for f in line.split(",")]
