@@ -21,8 +21,9 @@ import shutil
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Callable, Mapping
 
 from . import cascade, generate
 from .generate import GeneratorConfig, realization, run_ensemble
@@ -123,25 +124,22 @@ def _counts(curve: DegreeCurve) -> dict[int, int]:
     return {k: point.count for k, point in curve.points.items()}
 
 
-def _write_csv(path_or_stream: Path | IO[str], columns, rows: list[dict]) -> None:
-    if isinstance(path_or_stream, Path):
-        with open(path_or_stream, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, columns, rows)
-        return
-    writer = csv.writer(path_or_stream, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+def _write_csv(dest: Callable[[], IO[str]], columns, rows: list[dict]) -> None:
+    with dest() as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(row[c]) for c in columns])
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_json(dest: Callable[[], IO[str]], payload: dict) -> None:
+    with dest() as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _write_labels(path: Path, g: WeightedGraph) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_labels(dest: Callable[[], IO[str]], g: WeightedGraph) -> None:
+    with dest() as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("index", "label"))
         writer.writerows(enumerate(map(_cell, g.labels)))
@@ -162,33 +160,33 @@ def _blamed(kind: type[Exception], errors, prefix: str = ""):
 
 @contextmanager
 def _out_dir(path: str | Path):
-    """Make the output directory ``path`` and yield ``file(name)``, which
-    records and returns the path of each output file written in it.
-
-    When the block fails, interrupts included, this removes the outermost
-    directory it made, or else the recorded files, and notes each removal;
-    an OSError on a recorded file is a usage error naming it."""
+    """Make the output directory ``path`` and yield ``file(name)``, the
+    opener of the output file ``name`` in it: opening records the file, and
+    an OSError opening it is a usage error naming it. When the block fails,
+    interrupts included, this removes the outermost directory it made, or else
+    the files it opened, noting each; a file it never opened stays as it was."""
     path = Path(path)
     made = next((p for p in (*reversed(path.parents), path) if not p.exists()), None)
     with _blamed(_UsageError, OSError, "--out: cannot make directory: "):
         path.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def file(name: str) -> Path:
-        written.append(path / name)
-        return path / name
+    def opened(p: Path) -> IO[str]:
+        with _blamed(_UsageError, OSError, "--out: cannot write: "):
+            fh = open(p, "w", encoding="utf-8", newline="")
+        written.append(p)
+        return fh
 
     try:
-        yield file
-    except BaseException as exc:
-        for p in [made] if made is not None else [p for p in written if p.is_file()]:
-            if p == made:
-                shutil.rmtree(p)
-            else:
+        yield lambda name: partial(opened, path / name)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made)
+            _note(f"removed {made}")
+        else:
+            for p in written:
                 p.unlink()
-            _note(f"removed {p}")
-        if isinstance(exc, OSError) and exc.filename in map(str, written):
-            raise _UsageError(f"--out: cannot write {exc.filename!r}: {exc.strerror}") from exc
+                _note(f"removed {p}")
         raise
 
 
@@ -201,7 +199,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         analysis = analyze_network(g, args.model, args.min_samples)
         summary_row = {column: getattr(analysis.summary, f) for column, f in SUMMARY_COLUMNS}
         if file is None:
-            _write_csv(sys.stdout, SUMMARY_HEADER, [summary_row])
+            _write_csv(lambda: nullcontext(sys.stdout), SUMMARY_HEADER, [summary_row])
             return 0
         out = Path(args.out)
         curve_rows = _curve_rows(

@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import nullcontext
+from functools import partial
 from os import PathLike
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -188,13 +189,14 @@ def _writable(text: str) -> bool:
     return text.split() == [text] and "," not in text and text[0] != "#"
 
 
-def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str]) -> None:
-    """Write the canonical edge list to a path or a text stream: lines sorted
-    by (min-label, max-label), space-separated, weights printed with 17
-    significant digits so parsing them back reproduces the exact values.
+def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Callable) -> None:
+    """Write the canonical edge list to a path, a text stream, or the stream
+    a function opens (closed after): lines sorted by (min-label, max-label),
+    space-separated, weights printed with 17 significant digits so parsing
+    them back reproduces the exact values.
 
-    Every written label is checked before anything is written: it must read
-    back as one label, and no two labels may print as the same text."""
+    Every written label is checked before anything is opened or written: it
+    must read back as one label, and no two labels may print as the same text."""
     labels = g.labels
     texts = list(map(str, labels))
     a, b, w = g._upper()
@@ -221,8 +223,9 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str]) -> No
     values, value_of = np.unique(w[order], return_inverse=True)
     value_texts = np.array([f"{x:.17g}" for x in values.tolist()], dtype=object)
     lines = map("{} {} {}\n".format, ranked[lo[order]], ranked[hi[order]], value_texts[value_of])
-    is_path = isinstance(dest, (str, PathLike))
-    with open(dest, "w", encoding="utf-8", newline="\n") if is_path else nullcontext(dest) as fh:
+    if isinstance(dest, (str, PathLike)):
+        dest = partial(open, dest, "w", encoding="utf-8", newline="\n")
+    with dest() if callable(dest) else nullcontext(dest) as fh:
         fh.write("".join(lines))
 
 

@@ -116,7 +116,7 @@ class TestAnalyze:
 
     def test_labels_file_formats_every_label_as_a_cell(self, tmp_path):
         g = build_graph([(None, True, 1.0), (1.5, "a,b", 1.0), (7, 'q"', 1.0)])
-        _write_labels(tmp_path / "labels.csv", g)
+        _write_labels(lambda: open(tmp_path / "labels.csv", "w", newline=""), g)
         assert (tmp_path / "labels.csv").read_bytes() == (
             b'index,label\n0,\n1,true\n2,1.5\n3,"a,b"\n4,7\n5,"q"""\n'
         )
@@ -397,6 +397,36 @@ class TestExitCodes:
             assert "label 'a b' cannot be written" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.txt", "old"]
         assert list((tmp_path / "old").iterdir()) == []
+
+    def test_refused_projection_keeps_an_existing_output(self, tmp_path, capsys):
+        src = tmp_path / "ev.txt"
+        src.write_text("g1,a b\ng1,c\n", encoding="utf-8")
+        old = tmp_path / "old" / "net.edges"
+        old.parent.mkdir()
+        old.write_bytes(b"x y 1\n")
+        assert run("project", "--input", str(src), "--out", str(old)) == 2
+        assert "removed" not in capsys.readouterr().err
+        assert [p.name for p in old.parent.iterdir()] == ["net.edges"]
+        assert old.read_bytes() == b"x y 1\n"
+
+    def test_unopenable_existing_output_is_kept(self, tmp_path, capsys, monkeypatch, sample_file):
+        # an existing output file that refuses to be opened (read-only, say)
+        # was not written by the command, so its failure keeps it
+        out = tmp_path / "t"
+        out.mkdir()
+        (out / "summary.csv").write_bytes(b"old\n")
+
+        def refusing(p, *args, **kwargs):
+            if Path(p).name == "summary.csv":
+                raise PermissionError(13, "Permission denied", str(p))
+            return open(p, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing, raising=False)
+        assert run("analyze", "--input", str(sample_file), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert str(out / "summary.csv") in err and "removed" not in err
+        assert [p.name for p in out.iterdir()] == ["summary.csv"]
+        assert (out / "summary.csv").read_bytes() == b"old\n"
 
     @pytest.mark.parametrize("existed", [False, True])
     def test_failed_realization_leaves_no_out(self, tmp_path, capsys, existed):

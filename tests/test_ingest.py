@@ -346,6 +346,21 @@ class TestWriteEdgeList:
         write_edge_list(g, stream)
         assert stream.getvalue() == p.read_text(encoding="utf-8")
 
+    def test_opener_is_called_only_for_writable_labels(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("old\n")
+        calls = []
+
+        def opener():
+            calls.append(p)
+            return open(p, "w", encoding="utf-8", newline="")
+
+        with pytest.raises(ValueError, match="label"):
+            write_edge_list(build_graph([("a b", "c", 1.0)]), opener)
+        assert calls == [] and p.read_text() == "old\n"
+        write_edge_list(build_graph([("z", "m", 1.5), ("a", "z", 2.0)]), opener)
+        assert calls == [p] and p.read_text() == "a z 2\nm z 1.5\n"
+
 
 class TestParseBipartite:
     def test_groups_merge_even_when_scattered(self, tmp_path):
