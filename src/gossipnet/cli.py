@@ -57,16 +57,6 @@ SUMMARY_COLUMNS = (
 )
 SUMMARY_HEADER = tuple(column for column, _ in SUMMARY_COLUMNS)
 
-CURVE_COLUMNS = (
-    "k",
-    "count",
-    "sigma_k",
-    "beta_k",
-    "cc_k",
-    "beta_over_sigma_k",
-    "beta_over_sigma_cc_k",
-)
-
 
 #: What reading an input file can raise: malformed content, I/O, bad encoding
 _READ_ERRORS = (EdgeListError, OSError, UnicodeDecodeError)
@@ -105,11 +95,11 @@ def _cell(value) -> str:
 
 def _curve_rows(
     counts: dict[str, Mapping[int, int]], curves: dict[str, DegreeCurve | None]
-) -> list[dict[str, object]]:
-    """One row per degree of any curve: ``k``, each count column (0 where it
-    has no entry), then each curve's value (None where it has no point)."""
+) -> tuple[tuple[str, ...], list[dict[str, object]]]:
+    """The columns ``k``, each count, each curve, and one row per degree of any
+    curve: a count is 0 where it has no entry, a curve None where it has no point."""
     degrees = sorted({k for c in curves.values() if c is not None for k in c.degrees()})
-    return [
+    rows = [
         {
             "k": k,
             **{column: count.get(k, 0) for column, count in counts.items()},
@@ -118,6 +108,7 @@ def _curve_rows(
         }
         for k in degrees
     ]
+    return ("k", *counts, *curves), rows
 
 
 def _counts(curve: DegreeCurve) -> dict[int, int]:
@@ -132,9 +123,9 @@ def _write_csv(dest: Callable[[], IO[str]], columns, rows: list[dict]) -> None:
             writer.writerow([_cell(row[c]) for c in columns])
 
 
-def _write_json(dest: Callable[[], IO[str]], payload: dict) -> None:
+def _write_json(dest: Callable[[], IO[str]], **payload) -> None:
     with dest() as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
+        json.dump({"schema_version": SCHEMA_VERSION, **payload}, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -202,7 +193,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             _write_csv(lambda: nullcontext(sys.stdout), SUMMARY_HEADER, [summary_row])
             return 0
         out = Path(args.out)
-        curve_rows = _curve_rows(
+        curve_columns, curve_rows = _curve_rows(
             {"count": _counts(analysis.cc_curve)},
             {
                 "sigma_k": analysis.sigma_curve,
@@ -214,17 +205,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         if args.format in ("csv", "both"):
             _write_csv(file("summary.csv"), SUMMARY_HEADER, [summary_row])
-            _write_csv(file("curves.csv"), CURVE_COLUMNS, curve_rows)
+            _write_csv(file("curves.csv"), curve_columns, curve_rows)
             _note(f"wrote {out / 'summary.csv'} and {out / 'curves.csv'}")
         if args.format in ("json", "both"):
-            _write_json(
-                file("summary.json"),
-                {"schema_version": SCHEMA_VERSION, "model": args.model, "summary": summary_row},
-            )
-            _write_json(
-                file("curves.json"),
-                {"schema_version": SCHEMA_VERSION, "model": args.model, "curves": curve_rows},
-            )
+            _write_json(file("summary.json"), model=args.model, summary=summary_row)
+            _write_json(file("curves.json"), model=args.model, curves=curve_rows)
             _note(f"wrote {out / 'summary.json'} and {out / 'curves.json'}")
         _write_labels(file("labels.csv"), g)
     return 0
@@ -255,16 +240,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
             _note(f"wrote {out / name} (N={g.node_count}, M={g.edge_count})")
         _write_json(
             file("manifest.json"),
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "generate",
-                "config": asdict(cfg),
-                "seed_streams": {
-                    part: [cfg.seed, "realization_index", stream]
-                    for part, stream in generate.SEED_STREAMS.items()
-                },
-                "files": files,
+            kind="generate",
+            config=asdict(cfg),
+            seed_streams={
+                part: [cfg.seed, "realization_index", stream]
+                for part, stream in generate.SEED_STREAMS.items()
             },
+            files=files,
         )
         _note(f"wrote {out / 'manifest.json'}")
     return 0
@@ -272,8 +254,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     out = Path(args.out)
     with _out_dir(out) as file:
         with _weights_in_range(cfg):
@@ -284,29 +264,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.format in ("csv", "both"):
             rows = [{"realization": i, **row} for i, row in enumerate(summary_rows)]
             _write_csv(file("realizations.csv"), ("realization",) + SUMMARY_HEADER, rows)
-            _write_csv(
-                file("mean_curves.csv"),
-                ("k", "realizations", "victims", "sigma_k", "beta_k", "cc_k"),
-                _curve_rows(
-                    {"realizations": ens.curve_realizations, "victims": _counts(ens.sigma_curve)},
-                    {"sigma_k": ens.sigma_curve, "beta_k": ens.beta_curve, "cc_k": ens.cc_curve},
-                ),
-            )
+            _write_csv(file("mean_curves.csv"), *_curve_rows(
+                {"realizations": ens.curve_realizations, "victims": _counts(ens.sigma_curve)},
+                {"sigma_k": ens.sigma_curve, "beta_k": ens.beta_curve, "cc_k": ens.cc_curve},
+            ))
             _note(f"wrote {out / 'realizations.csv'} and {out / 'mean_curves.csv'}")
         if args.format in ("json", "both"):
             _write_json(
                 file("ensemble.json"),
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "config": asdict(cfg),
-                    "realizations": cfg.realizations,
-                    "mean": ens.mean,
-                    "std": ens.std,
-                    "defined": ens.defined,
-                    "k0_of_mean_curve": ens.k0_of_mean_curve,
-                    "k0w_of_mean_curve": ens.k0w_of_mean_curve,
-                    "summaries": summary_rows,
-                },
+                config=asdict(cfg),
+                realizations=cfg.realizations,
+                mean=ens.mean,
+                std=ens.std,
+                defined=ens.defined,
+                k0_of_mean_curve=ens.k0_of_mean_curve,
+                k0w_of_mean_curve=ens.k0w_of_mean_curve,
+                summaries=summary_rows,
             )
             _note(f"wrote {out / 'ensemble.json'}")
     return 0
@@ -334,6 +307,17 @@ def cmd_project(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _at_least_one(text: str) -> int:
+    # argparse type; ArgumentTypeError, unlike ValueError, keeps this name out of the message
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_generator_flags(p: argparse.ArgumentParser, default_realizations: int) -> None:
     # one flag per GeneratorConfig field; its class attributes hold the defaults
     p.add_argument("--model", required=True, choices=generate.MODELS,
@@ -357,6 +341,12 @@ def _add_generator_flags(p: argparse.ArgumentParser, default_realizations: int) 
                    help="number of realizations (default %(default)s)")
 
 
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    p.add_argument("--min-samples", type=_at_least_one, default=1,
+                   help="minimum victims per degree for the critical-degree search")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gossipnet",
@@ -364,16 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[], help="summarize a weighted edge list",
+    p = sub.add_parser("analyze", help="summarize a weighted edge list",
                        description="Compute the coefficient summary and per-degree "
                                    "curves of a weighted edge-list network.")
     p.add_argument("--input", required=True, help="weighted edge-list file")
     p.add_argument("--model", choices=cascade.MODELS, default="both")
     p.add_argument("--out", default=None,
                    help="output directory (omit to print the summary CSV to stdout)")
-    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p.add_argument("--min-samples", dest="min_samples", type=int, default=1,
-                   help="minimum victims per degree for the critical-degree search")
+    _add_report_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="write seeded random networks",
@@ -388,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "and write aggregate reports.")
     _add_generator_flags(p, default_realizations=50)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    p.add_argument("--min-samples", dest="min_samples", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1,
+    _add_report_flags(p)
+    p.add_argument("--workers", type=_at_least_one, default=1,
                    help="worker processes for realizations, at least 1 (output "
                         "is identical for any value)")
     p.set_defaults(func=cmd_sweep)

@@ -40,22 +40,10 @@ WEIGHT_FLOOR = 1e-6
 #: Stream id of each part of a realization, the last SeedSequence entry
 SEED_STREAMS = {"structure": 0, "weights": 1}
 
-# NetworkSummary fields aggregated over ensemble realizations
-SUMMARY_FIELDS = (
-    "n_nodes",
-    "n_edges",
-    "n_isolated",
-    "cc",
-    "sigma",
-    "beta",
-    "k0",
-    "k0_w",
-    "k0w_over_k0",
-    "sigma_over_cc",
-    "beta_over_cc",
-    "beta_over_sigma",
-    "beta_over_sigma_cc",
-)
+# NetworkSummary fields aggregated over ensemble realizations: not the interior
+# flags, which are not numbers, nor n_leaf_victims, which ensemble.json predates
+SUMMARY_FIELDS = tuple(f.name for f in fields(NetworkSummary)
+                       if f.name not in ("n_leaf_victims", "k0_interior", "k0w_interior"))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import pytest
 
 from gossipnet import (
     GeneratorConfig,
+    NetworkSummary,
     analyze_network,
     build_graph,
     parse_edge_list,
@@ -21,7 +22,7 @@ from gossipnet import (
 from gossipnet import cli
 from gossipnet.cli import _write_labels, build_parser, main
 from gossipnet.datasets import sample_network
-from gossipnet.generate import _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS
+from gossipnet.generate import _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS, SUMMARY_FIELDS
 from gossipnet.ingest import write_edge_list
 
 
@@ -382,6 +383,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "weight_mean 1e+308 and weight_stddev 0.0" in err and "float range" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_min_samples_below_one_is_usage_error(
+        self, tmp_path, capsys, sample_file, command, value
+    ):
+        source = (["--input", str(sample_file)] if command == "analyze" else
+                  ["--model", "ER", "--N", "20", "--p", "0.2", "--realizations", "2"])
+        out = tmp_path / "o"
+        assert run(command, *source, "--min-samples", value, "--out", str(out)) == 1
+        assert "--min-samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--min-samples", "--workers"])
+    def test_non_integer_count_names_flag_and_text(self, tmp_path, capsys, flag):
+        code = run("sweep", "--model", "ER", "--N", "20", "--p", "0.2",
+                   flag, "2.5", "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid int value: '2.5'" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command,out", [("analyze", "a"), ("project", "b/x.edges")])
     def test_input_error_makes_no_out(self, tmp_path, command, out):
         missing = str(tmp_path / "nope")
@@ -508,6 +530,31 @@ def test_every_config_field_has_one_flag_and_one_config_key():
     for command, own in own_flags.items():
         assert {a.dest for a in sub.choices[command]._actions} - own == names
     assert _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS == names
+
+
+def test_summary_columns_name_every_summary_field_once():
+    named = [f for _, f in cli.SUMMARY_COLUMNS]
+    assert sorted(named) == sorted(f.name for f in fields(NetworkSummary))
+
+
+def test_ensemble_fields_are_pinned():
+    # the keys of ensemble.json's mean/std/defined, in order
+    assert SUMMARY_FIELDS == (
+        "n_nodes", "n_edges", "n_isolated", "cc", "sigma", "beta", "k0", "k0_w",
+        "k0w_over_k0", "sigma_over_cc", "beta_over_cc", "beta_over_sigma",
+        "beta_over_sigma_cc",
+    )
+
+
+def test_report_flags_are_the_same_in_analyze_and_sweep():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def report_flags(command):
+        return [(a.option_strings, a.dest, a.choices, a.type, a.default, a.help)
+                for a in sub.choices[command]._actions if a.dest in ("format", "min_samples")]
+
+    assert len(report_flags("analyze")) == 2
+    assert report_flags("analyze") == report_flags("sweep")
 
 
 class TestUnusableOut:
