@@ -12,7 +12,9 @@ recorded before event files were read in blocks and normalized in numpy (the
 duplicate-draw digest was recorded before BA kept one flat endpoint list as
 its edge list; the resample-rejection, clamp and large-BA digests were
 recorded before the generators drew node weights and each new BA node's
-targets in batches. A refactor that claims unchanged outputs must leave every one
+targets in batches; the recurring-pair projection and chunked-writer
+digests were recorded before the projection and the edge-list writer worked
+in bounded chunks. A refactor that claims unchanged outputs must leave every one
 of them as it is. A digest covers a whole ``--out`` tree (relative paths and
 file contents) or one stdout capture.
 """
@@ -73,6 +75,20 @@ ORDER_EVENTS = (
     "g1 eve\ng1 cat\ng2 solo\ng3 fay\ng3 cat\ng3 gus\ng1 hal\ng4 gus\ng4 eve\ng3 fay\n"
 )
 
+
+def recurring_pair_events() -> str:
+    """120 events of 4 or 7 members (newman weights 1/3 and 1/6), every one
+    holding the members a and b at seeded positions among 40 others, so the
+    pair (a, b) sums 120 inexact weights in record order."""
+    rng = np.random.default_rng(16)
+    records = []
+    for e in range(120):
+        size = 4 if e % 3 else 7
+        members = [f"q{m}" for m in rng.choice(40, size=size - 2, replace=False).tolist()]
+        for label in ("a", "b"):
+            members.insert(int(rng.integers(0, len(members) + 1)), label)
+        records.extend(f"e{e} {m}\n" for m in members)
+    return "".join(records)
 
 
 def mixed_edge_bytes() -> bytes:
@@ -202,6 +218,8 @@ GOLDEN = {
     "project_out_mixed_newman": "8d7335ed2ad378e5c2cce16e3bd7b9dcd7bc7a7c4c82c0985903ead05b10d308",
     "project_out_mixed_ascii_clean_count": "c8f6116a322338303e96098aaf268e41b4cb9411d8a434ab778f1966687a436d",
     "project_out_mixed_ascii_clean_newman": "aa0774ebe47d96e606caf4093abfaf380a369f24468c52ad8ac22dca716a0cdd",
+    "project_out_recurring_newman": "6845aa60cb97412e5cfa7eb4788a1885b3244681e304ae9031484b1222ae9168",
+    "generate_chunked_writer": "f35339bc5fa9118fa0b08a343ea730a52eeee5855b83e7e53fb5b4f0eeed9114",
 }
 
 
@@ -314,3 +332,26 @@ def test_project_out_mixed_blocks(tmp_path, monkeypatch, scheme, variant):
     assert main(["project", "--input", str(src), "--scheme", scheme,
                  "--out", str(out / "net.edges")]) == 0
     assert tree_digest(out) == GOLDEN[f"project_out_mixed_{variant}{scheme}"]
+
+
+def test_project_out_recurring_pair(tmp_path, monkeypatch):
+    # ranges of at most 5 member pairs: a row of a 7-member event is a range
+    # of its own, and the pair (a, b) recurs in over a hundred ranges
+    monkeypatch.setattr(ingest, "PAIR_CHUNK", 5, raising=False)
+    src = tmp_path / "events.txt"
+    src.write_text(recurring_pair_events(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["project", "--input", str(src), "--scheme", "newman",
+                 "--out", str(out / "net.edges")]) == 0
+    assert tree_digest(out) == GOLDEN["project_out_recurring_newman"]
+
+
+def test_generate_chunked_writer(tmp_path, monkeypatch):
+    # 1035 edges per realization over 73-edge writer chunks: the last chunk
+    # is partial
+    monkeypatch.setattr(ingest, "WRITE_CHUNK", 73, raising=False)
+    out = tmp_path / "out"
+    argv = ["generate", "--model", "BA", "--N", "120", "--m0", "10", "--m", "9",
+            "--seed", "4", "--realizations", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert tree_digest(out) == GOLDEN["generate_chunked_writer"]
