@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Mapping
 
-from . import cascade, generate
+from . import cascade, generate, metrics
 from .generate import GeneratorConfig, realization, run_ensemble
 from .graph import WeightedGraph
 from .ingest import (
@@ -313,9 +313,10 @@ def _at_least_one(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    try:
+        return metrics._at_least_one(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _add_generator_flags(p: argparse.ArgumentParser, default_realizations: int) -> None:

@@ -29,6 +29,7 @@ from .metrics import (
     DegreeCurve,
     NetworkAnalysis,
     NetworkSummary,
+    _at_least_one,
     analyze_network,
     find_k0,
 )
@@ -277,9 +278,7 @@ def _mean_curve(
 
 def _pool_size(workers: int, realizations: int) -> int:
     """Worker processes to start: at most one per realization and per CPU."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    return min(workers, realizations, os.cpu_count() or 1)
+    return min(_at_least_one(workers, "workers"), realizations, os.cpu_count() or 1)
 
 
 def run_ensemble(
@@ -291,9 +290,11 @@ def run_ensemble(
     ``workers`` > 1 distributes realizations over processes, never more than
     there are realizations or CPUs; the output is identical for any worker
     count because every realization owns its RNG streams and aggregation
-    runs in realization order. Raises ValueError for ``workers`` < 1.
+    runs in realization order. Raises ValueError for ``min_samples`` or
+    ``workers`` < 1.
     """
     cfg.validate()
+    _at_least_one(min_samples, "min_samples")
     pool_size = _pool_size(workers, cfg.realizations)
     jobs = [(cfg, i, min_samples) for i in range(cfg.realizations)]
     if pool_size > 1:

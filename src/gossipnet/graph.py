@@ -28,6 +28,10 @@ Label = Hashable
 #: temporaries, never the results.
 WEDGE_CHUNK = 1 << 14
 
+#: Records ranked per batch when a graph merges its records. Like
+#: WEDGE_CHUNK, it bounds temporaries, never results.
+MERGE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class NodeProfile:
@@ -89,14 +93,13 @@ def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     degree = np.diff(indptr)
     sums = np.zeros(len(degree))
+    fractional = np.zeros(len(degree), dtype=bool)
     filled = np.flatnonzero(degree)
     if filled.size:
         with np.errstate(over="ignore"):  # an overflowing row stays inf
             sums[filled] = np.add.reduceat(weights, indptr[filled])
-    fractional = np.concatenate(([0], np.cumsum(weights != np.floor(weights))))
-    inexact = (degree > 2) & (
-        (fractional[indptr[1:]] > fractional[indptr[:-1]]) | (sums >= 2.0**53)
-    )
+        fractional[filled] = np.logical_or.reduceat(weights != np.floor(weights), indptr[filled])
+    inexact = (degree > 2) & (fractional | (sums >= 2.0**53))
     inexact &= np.isfinite(sums)
     rows = np.flatnonzero(inexact)
     # one row at a time becomes Python floats
@@ -284,43 +287,91 @@ def build_graph(
 
 def _from_pairs(index: dict[Label, int], ends: np.ndarray, weights: np.ndarray) -> WeightedGraph:
     """The graph of validated records: ``ends`` holds the dense indices of
-    each record's two nodes, one row per record, ``weights`` its weight.
+    each record's two nodes, one row per record, ``weights`` its weight."""
+    return _from_keys(index, _pair_keys(ends[:, 0], ends[:, 1], len(index)), [weights])
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``lo * n + hi`` of each pair of dense indices, lo the smaller one."""
+    keys = np.minimum(a, b, out=out)
+    keys *= n
+    keys += np.maximum(a, b)
+    return keys
+
+
+def _from_keys(
+    index: dict[Label, int], keys: np.ndarray, weights: Iterable[np.ndarray]
+) -> WeightedGraph:
+    """The graph of validated records given as pair keys (see _pair_keys),
+    in record order, and their weights, in consecutive runs of records.
 
     Records of one pair merge by summing their weights in record order; a
     sum past the float range raises OverflowError naming the pair.
+
+    ``keys`` is overwritten, and callers hold no other reference to it, so
+    it is freed before the CSR arrays are made. Beside it, only 8 bytes per
+    record, one batch's or one run's temporaries and arrays of the graph's
+    size are held at a time.
     """
     n = len(index)
-    keys = np.minimum(ends[:, 0], ends[:, 1])
-    keys *= n
-    keys += np.maximum(ends[:, 0], ends[:, 1])
-    pair_keys, pair_of_record = np.unique(keys, return_inverse=True)
-    del keys
+    # each record's pair is the rank of its key among the distinct keys; one
+    # sort, walked in batches, overwrites each key with that rank
+    order = np.argsort(keys)
+    distinct, found, last = [np.empty(0, dtype=np.int64)], 0, None
+    for b0 in range(0, len(keys), MERGE_CHUNK):
+        batch = order[b0:b0 + MERGE_CHUNK]
+        ranked = keys[batch]
+        new = np.concatenate(([b0 == 0 or ranked[0] != last], ranked[1:] != ranked[:-1]))
+        rank = np.cumsum(new)
+        rank += found - 1
+        keys[batch] = rank  # read already; later batches' keys lie elsewhere
+        distinct.append(ranked[new])
+        found, last = int(rank[-1]) + 1, ranked[-1]
+    del order
+    pair_keys = np.concatenate(distinct)
+    del distinct
     merged = np.zeros(len(pair_keys))
+    start = 0
     # unbuffered and in record order: each merged weight is the left fold
     with np.errstate(over="ignore"):
-        np.add.at(merged, pair_of_record, weights)
-    del pair_of_record
+        for run in weights:
+            np.add.at(merged, keys[start:start + len(run)], run)
+            start += len(run)
+    del keys
     over = np.flatnonzero(~np.isfinite(merged))
     if over.size:
         labels = list(index)
         a, b = divmod(int(pair_keys[over[0]]), n)
         raise OverflowError(f"edge {labels[a]!r} {labels[b]!r}: weight past the float range")
 
-    m = len(pair_keys)
-    lo, hi = np.divmod(pair_keys, max(n, 1))
-    cols = np.concatenate((hi, lo))
-    # the sort keys row * n + col are distinct, so this is the (row, col) order
-    order = np.argsort(np.concatenate((pair_keys, hi * n + lo)))
+    # the CSR arrays, each temporary updated in place and freed once used
+    m, n1 = len(pair_keys), max(n, 1)
+    # the sort keys row * n + col of every slot: lo→hi of each pair, then
+    # hi→lo; they are distinct, so their order is the (row, col) order
+    slot_keys = np.empty(2 * m, dtype=np.int64)
+    lo = pair_keys // n1
+    hi = np.remainder(pair_keys, n1, out=slot_keys[m:])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
-    del lo, hi, pair_keys
-    # entry e and entry e + M of cols are the two directions of one edge
+    hi *= n
+    hi += lo
+    del lo, hi
+    slot_keys[:m] = pair_keys
+    del pair_keys
+    order = np.argsort(slot_keys)
+    slot_keys %= n1  # each slot's column
+    indices = slot_keys[order]
+    del slot_keys
+    # slot e and slot e + m are the two directions of one edge
+    slot_weights = merged.take(order, mode="wrap")
+    del merged
     slot_of = np.empty(2 * m, dtype=np.int32)
     slot_of[order] = np.arange(2 * m, dtype=np.int32)
-    reverse = slot_of[(order + m) % max(2 * m, 1)]
-    return WeightedGraph(
-        index, indptr, cols[order], reverse, np.concatenate((merged, merged))[order]
-    )
+    order += m
+    order %= max(2 * m, 1)
+    reverse = slot_of[order]
+    del slot_of, order
+    return WeightedGraph(index, indptr, indices, reverse, slot_weights)
 
 
 def _mean_weighted(g: WeightedGraph, values: np.ndarray) -> WeightedGraph:

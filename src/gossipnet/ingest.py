@@ -20,13 +20,20 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graph import WeightedGraph, _from_pairs, _intern, _label_index, _pairs_after
+from .graph import (
+    WeightedGraph, _from_keys, _from_pairs, _intern, _label_index, _pair_keys, _pairs_after, _spans,
+)
 
 SEPARATORS = ("auto", "comma", "whitespace")
 
 #: Characters of text read per block of whole lines; it bounds the reader's
 #: temporaries, never the results.
-BLOCK = 1 << 20
+BLOCK = 1 << 16
+
+#: Member pairs made per range of a projection, and edges formatted per
+#: write of an edge list. Like BLOCK, they bound temporaries, never results.
+PAIR_CHUNK = 1 << 16
+WRITE_CHUNK = 1 << 14
 
 # the ASCII characters str.split() splits on
 _ASCII_SPACE = np.zeros(256, dtype=bool)
@@ -218,15 +225,19 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Call
     rank[by_text] = np.arange(len(texts))
     lo, hi = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
     order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
     ranked = np.array(texts, dtype=object)[by_text]
     # each distinct weight is formatted once
     values, value_of = np.unique(w[order], return_inverse=True)
     value_texts = np.array([f"{x:.17g}" for x in values.tolist()], dtype=object)
-    lines = map("{} {} {}\n".format, ranked[lo[order]], ranked[hi[order]], value_texts[value_of])
     if isinstance(dest, (str, PathLike)):
         dest = partial(open, dest, "w", encoding="utf-8", newline="\n")
     with dest() if callable(dest) else nullcontext(dest) as fh:
-        fh.write("".join(lines))
+        for start in range(0, len(lo), WRITE_CHUNK):
+            chunk = slice(start, start + WRITE_CHUNK)
+            lines = map("{} {} {}\n".format,
+                        ranked[lo[chunk]], ranked[hi[chunk]], value_texts[value_of[chunk]])
+            fh.write("".join(lines))
 
 
 class _Events(NamedTuple):
@@ -294,19 +305,34 @@ def _project(events: _Events, increment) -> WeightedGraph:
     labels, member_ids, sizes = _normalize(events)
     # every member is a node, lone ones too
     group_weights = [increment(n) if n > 1 else 0.0 for n in sizes.tolist()]
+    row_weights = np.repeat(np.array(group_weights, dtype=np.float64), sizes)
     index = dict(zip(labels, itertools.count()))
-    return _from_pairs(index, *_group_pairs(member_ids, sizes, group_weights))
-
-
-def _group_pairs(member_ids: np.ndarray, sizes: np.ndarray, group_weights: list[float]):
-    """(ends, weights) of every pair of members of a group, group by group
-    and in row-major order within a group: the member at position i pairs
-    with each later member j."""
+    # the member at position i pairs with each of the later[i] members after it
     starts = np.cumsum(sizes) - sizes
     later = np.repeat(sizes + starts, sizes) - 1 - np.arange(len(member_ids))
-    first, second = _pairs_after(later, 0)
-    ends = np.column_stack((member_ids[first], member_ids[second]))
-    return ends, np.repeat(np.array(group_weights, dtype=np.float64), sizes)[first]
+    spans = _spans(later, PAIR_CHUNK)
+    # a pair weighs its group's weight, once per pair of its member's row
+    runs = (np.repeat(row_weights[r0:r1], later[r0:r1]) for r0, r1 in spans)
+    return _from_keys(index, _group_pairs(member_ids, later, spans, len(index)), runs)
+
+
+def _group_pairs(
+    member_ids: np.ndarray, later: np.ndarray, spans: list[tuple[int, int]], n: int
+) -> np.ndarray:
+    """The keys (see graph._pair_keys) of every pair of members of a group,
+    group by group and in row-major order within a group: the member at
+    position i pairs with each of the ``later[i]`` members after it.
+
+    The pairs are made one range of ``spans`` at a time, at most PAIR_CHUNK
+    of them unless one member's row is longer, so only their 8-byte keys
+    outlive a range."""
+    keys = np.empty(int(later.sum()), dtype=np.int64)
+    done = 0
+    for r0, r1 in spans:
+        first, second = _pairs_after(later[r0:r1], r0)
+        _pair_keys(member_ids[first], member_ids[second], n, out=keys[done:done + len(first)])
+        done += len(first)
+    return keys
 
 
 def project_count(

@@ -121,6 +121,15 @@ def _curve(k: np.ndarray, values: np.ndarray) -> tuple[float, DegreeCurve]:
     )
 
 
+def _at_least_one(value: int, name: str = "") -> int:
+    """``value``, or ValueError (naming ``name``) when it is below 1: the one
+    bound of the counts ``min_samples`` and ``workers``, in the library and
+    in the CLI."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}".lstrip())
+    return value
+
+
 def find_k0(
     curve: DegreeCurve, min_samples: int = 1
 ) -> tuple[int | None, bool]:
@@ -131,6 +140,7 @@ def find_k0(
     three degrees are eligible. The flag is True when strictly smaller and
     strictly larger eligible degrees with strictly higher values both exist.
     """
+    _at_least_one(min_samples, "min_samples")
     eligible = [k for k in curve.degrees() if curve.count(k) >= min_samples]
     if len(eligible) < 3:
         return None, False
@@ -160,8 +170,9 @@ def analyze_network(
 
     One pass computes the global spread factors, the per-degree spread and
     clustering curves, the critical degrees of both models (subject to
-    ``min_samples``), and the coefficient ratios.
+    ``min_samples``, at least 1), and the coefficient ratios.
     """
+    _at_least_one(min_samples, "min_samples")
     run_u, run_w = _models(model)
     triangles, n_per, m_per = _slot_counts(g, run_u, run_w)
     k = g._degree

@@ -17,6 +17,7 @@ from gossipnet import (
     build_graph,
     parse_edge_list,
     project_newman,
+    run_ensemble,
     summarize,
 )
 from gossipnet import cli
@@ -393,6 +394,34 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run(command, *source, "--min-samples", value, "--out", str(out)) == 1
         assert "--min-samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    # (command, parameter, value below 1): the library call and the CLI
+    # command behind each must both refuse it
+    @pytest.mark.parametrize("command,parameter,value", [
+        ("analyze", "min_samples", 0),
+        ("analyze", "min_samples", -3),
+        ("sweep", "min_samples", 0),
+        ("sweep", "min_samples", -3),
+        ("sweep", "workers", 0),
+        ("sweep", "workers", -3),
+    ])
+    def test_count_below_one_is_refused_by_library_and_cli(
+        self, tmp_path, capsys, sample_file, command, parameter, value
+    ):
+        er = ["--model", "ER", "--N", "20", "--p", "0.2", "--realizations", "2"]
+        library = {
+            "analyze": lambda: analyze_network(sample_network(), "both", **{parameter: value}),
+            "sweep": lambda: run_ensemble(GeneratorConfig(model="ER", N=20, p=0.2, realizations=2),
+                                          **{parameter: value}),
+        }
+        with pytest.raises(ValueError, match=f"^{parameter} must be at least 1, got {value}$"):
+            library[command]()
+        flag = "--" + parameter.replace("_", "-")
+        source = ["--input", str(sample_file)] if command == "analyze" else er
+        out = tmp_path / "o"
+        assert run(command, *source, flag, str(value), "--out", str(out)) == 1
+        assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--min-samples", "--workers"])

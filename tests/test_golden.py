@@ -337,7 +337,7 @@ def test_project_out_mixed_blocks(tmp_path, monkeypatch, scheme, variant):
 def test_project_out_recurring_pair(tmp_path, monkeypatch):
     # ranges of at most 5 member pairs: a row of a 7-member event is a range
     # of its own, and the pair (a, b) recurs in over a hundred ranges
-    monkeypatch.setattr(ingest, "PAIR_CHUNK", 5, raising=False)
+    monkeypatch.setattr(ingest, "PAIR_CHUNK", 5)
     src = tmp_path / "events.txt"
     src.write_text(recurring_pair_events(), encoding="utf-8")
     out = tmp_path / "out"
@@ -349,7 +349,7 @@ def test_project_out_recurring_pair(tmp_path, monkeypatch):
 def test_generate_chunked_writer(tmp_path, monkeypatch):
     # 1035 edges per realization over 73-edge writer chunks: the last chunk
     # is partial
-    monkeypatch.setattr(ingest, "WRITE_CHUNK", 73, raising=False)
+    monkeypatch.setattr(ingest, "WRITE_CHUNK", 73)
     out = tmp_path / "out"
     argv = ["generate", "--model", "BA", "--N", "120", "--m0", "10", "--m", "9",
             "--seed", "4", "--realizations", "2", "--out", str(out)]

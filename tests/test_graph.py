@@ -9,10 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipnet import build_graph, induced_neighborhood, parse_edge_list, write_edge_list
+from gossipnet import build_graph, graph, induced_neighborhood, parse_edge_list, write_edge_list
 from gossipnet.graph import _pairs_after
 
-from .conftest import random_weighted_graph
+from .conftest import assert_same_graph, random_weighted_graph
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_merge_batches_keep_the_graph(monkeypatch, chunk):
+    # 30 nodes and 500 records: runs of one pair's records span batches
+    rng = np.random.default_rng(chunk)
+    ends = rng.integers(0, 30, size=(500, 2))
+    records = [(f"n{a}", f"n{b}", w) for (a, b), w in
+               zip(ends.tolist(), rng.uniform(0.1, 2.0, 500).tolist()) if a != b]
+    whole = build_graph(records)
+    monkeypatch.setattr(graph, "MERGE_CHUNK", chunk)
+    assert_same_graph(build_graph(records), whole)
 
 
 def test_duplicate_records_merge_by_sum():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,20 @@ from gossipnet import (
 from gossipnet.graph import build_graph
 
 from .conftest import assert_same_graph
+
+# a block larger than every file these tests write: the whole file is one block
+WHOLE_FILE = 1 << 20
+
+
+def traced(call):
+    """(result, bytes still held, peak bytes) of ``call()`` under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 class TestParseEdgeList:
@@ -92,6 +107,20 @@ class TestParseEdgeList:
         p.write_text("# header\na b 1\n\na b -1\n")
         with pytest.raises(EdgeListError, match=":4:"):
             parse_edge_list(p)
+
+    def test_memory_over_the_graph_is_bounded(self, tmp_path):
+        # a seeded, triangle-poor list of 1e5 edges over 60 000 labels: the
+        # reader's and the builder's temporaries stay below 100 bytes per edge
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, 60_000, size=(2, 110_000))
+        keep = a != b
+        a, b = a[keep][:100_000], b[keep][:100_000]
+        w = rng.integers(1, 6, size=100_000)
+        p = tmp_path / "sparse.edges"
+        p.write_text("".join(map("n{} n{} {}\n".format, a.tolist(), b.tolist(), w.tolist())))
+        g, held, peak = traced(lambda: parse_edge_list(p))
+        assert g.edge_count > 99_900
+        assert peak - held < 100 * g.edge_count
 
 
 def reference_records(path, sep: str = "auto") -> list[tuple[str, str, float]]:
@@ -166,7 +195,7 @@ def mixed_edge_file(rng: np.random.Generator, comma: bool = False) -> bytes:
 
 
 class TestBlockReader:
-    @pytest.mark.parametrize("block", [1, 40, 200, ingest.BLOCK])
+    @pytest.mark.parametrize("block", [1, 40, 200, WHOLE_FILE])
     @pytest.mark.parametrize("seed", range(12))
     def test_same_graph_as_line_reader(self, tmp_path, monkeypatch, seed, block):
         monkeypatch.setattr(ingest, "BLOCK", block)
@@ -190,7 +219,7 @@ class TestBlockReader:
         assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
         assert len(calls) == 1 and calls[0] < 30  # only the block of line 31
 
-    @pytest.mark.parametrize("block", [40, ingest.BLOCK])
+    @pytest.mark.parametrize("block", [40, WHOLE_FILE])
     @pytest.mark.parametrize("at", [0, 3, 150, 199])
     @pytest.mark.parametrize(
         "bad",
@@ -210,7 +239,7 @@ class TestBlockReader:
             parse_edge_list(p)
         assert str(info.value) == str(expected)
 
-    @pytest.mark.parametrize("block", [40, ingest.BLOCK])
+    @pytest.mark.parametrize("block", [40, WHOLE_FILE])
     def test_bad_line_before_undecodable_bytes_is_reported(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(ingest, "BLOCK", block)
         lines = [f"n{i} n{i + 1} 1\n".encode() for i in range(3000)]
@@ -279,6 +308,22 @@ class TestWriteEdgeList:
         back = parse_edge_list(p)
         for a, b, w in g.edges():
             assert back.weight(a, b) == w
+
+    def test_writes_one_chunk_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        g = build_graph((f"n{i}", f"n{j}", w) for i, j, w in zip(
+            rng.integers(0, 40, 300).tolist(), rng.integers(40, 80, 300).tolist(),
+            rng.uniform(0.1, 3.0, 300).tolist()))
+        whole = io.StringIO()
+        write_edge_list(g, whole)
+        monkeypatch.setattr(ingest, "WRITE_CHUNK", 16)
+        writes = []
+        stream = io.StringIO()
+        monkeypatch.setattr(stream, "write", writes.append)
+        write_edge_list(g, stream)
+        assert len(writes) == -(-g.edge_count // 16)
+        assert all(w.count("\n") == 16 for w in writes[:-1])
+        assert "".join(writes) == whole.getvalue()
 
     def test_rejects_unwritable_labels(self, tmp_path):
         g = build_graph([("a b", "c", 1.0)])
@@ -447,7 +492,7 @@ def mixed_event_file(rng: np.random.Generator, comma: bool = False) -> bytes:
 
 
 class TestEventReader:
-    @pytest.mark.parametrize("block", [1, 40, 200, ingest.BLOCK])
+    @pytest.mark.parametrize("block", [1, 40, 200, WHOLE_FILE])
     @pytest.mark.parametrize("seed", range(12))
     def test_same_records_as_line_reader(self, tmp_path, monkeypatch, seed, block):
         monkeypatch.setattr(ingest, "BLOCK", block)
@@ -478,7 +523,7 @@ class TestEventReader:
             assert read_records(p) == reference_events(p)
             assert len(calls) == 1 and calls[0] < 30  # only the block of line 31
 
-    @pytest.mark.parametrize("block", [40, ingest.BLOCK])
+    @pytest.mark.parametrize("block", [40, WHOLE_FILE])
     @pytest.mark.parametrize("at", [0, 3, 150, 199])
     @pytest.mark.parametrize(
         "bad", ["g", "g a b", "g a b c", "g\x1fa\x1fb", "g a # c", "g\u2003a b"]
@@ -496,7 +541,7 @@ class TestEventReader:
             parse_bipartite(p)
         assert str(info.value) == str(expected)
 
-    @pytest.mark.parametrize("block", [40, ingest.BLOCK])
+    @pytest.mark.parametrize("block", [40, WHOLE_FILE])
     def test_bad_line_before_undecodable_bytes_is_reported(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(ingest, "BLOCK", block)
         lines = [f"g{i % 5} n{i}\n".encode() for i in range(3000)]
@@ -576,6 +621,24 @@ class TestProjection:
         assert_same_graph(project_count(events), reference_projection(events, lambda n: 1.0))
         assert_same_graph(project_newman(events),
                           reference_projection(events, lambda n: 1.0 / (n - 1)))
+
+    @pytest.mark.parametrize("project", [project_count, project_newman])
+    def test_memory_is_bounded_per_pair(self, project):
+        # 100 events sharing the same 150 members: 1 117 500 member pairs
+        # over 11 175 edges, so the pairs, not the graph, set the peak
+        events = ingest._to_events({f"e{e}": [f"m{m}" for m in range(150)] for e in range(100)})
+        g, _, peak = traced(lambda: project(events))
+        assert g.edge_count == 11_175
+        assert peak < 24 * 1_117_500
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    def test_pair_ranges_keep_the_graph(self, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        events = [(f"e{int(rng.integers(0, 30))}", f"m{int(rng.integers(0, 25))}")
+                  for _ in range(400)]
+        whole = project_newman(events)
+        monkeypatch.setattr(ingest, "PAIR_CHUNK", chunk)
+        assert_same_graph(project_newman(events), whole)
 
     def test_no_events(self):
         assert project_count({}).node_count == 0
