@@ -14,7 +14,8 @@ its edge list; the resample-rejection, clamp and large-BA digests were
 recorded before the generators drew node weights and each new BA node's
 targets in batches; the recurring-pair projection and chunked-writer
 digests were recorded before the projection and the edge-list writer worked
-in bounded chunks. A refactor that claims unchanged outputs must leave every one
+in bounded chunks; the quoted-label and chunked-label digests were recorded
+before the edge-list and label writers joined each chunk at once. A refactor that claims unchanged outputs must leave every one
 of them as it is. A digest covers a whole ``--out`` tree (relative paths and
 file contents) or one stdout capture.
 """
@@ -220,6 +221,8 @@ GOLDEN = {
     "project_out_mixed_ascii_clean_newman": "aa0774ebe47d96e606caf4093abfaf380a369f24468c52ad8ac22dca716a0cdd",
     "project_out_recurring_newman": "6845aa60cb97412e5cfa7eb4788a1885b3244681e304ae9031484b1222ae9168",
     "generate_chunked_writer": "f35339bc5fa9118fa0b08a343ea730a52eeee5855b83e7e53fb5b4f0eeed9114",
+    "analyze_quoted_labels": "6a9dec6cf0fa0f104f13fdac6945911a89fb2d4dfaee5700ec593d55b56b20f3",
+    "analyze_chunked_labels": "7aa2380e993433cbe48e15f3e765fc36c5f5bcfffca40c264b59806f1896b7b0",
 }
 
 
@@ -355,3 +358,40 @@ def test_generate_chunked_writer(tmp_path, monkeypatch):
             "--seed", "4", "--realizations", "2", "--out", str(out)]
     assert main(argv) == 0
     assert tree_digest(out) == GOLDEN["generate_chunked_writer"]
+
+
+# labels that csv quotes; the first line holds no comma, so the file is read
+# as whitespace-separated
+QUOTED_LABELS_EDGES = (
+    'x y 1\na,b x 2\nsay"hi" y 0.5\na,b say"hi" 3\ny z 1.5\nz a,b 1\n'
+    '"q" x 2.25\n"q" a,b 4\n'
+)
+
+
+def seeded_edges() -> str:
+    """About 600 seeded whitespace records over 400 labels, one label in 41
+    holding a ``"``, so that some ranges of labels need csv quoting and the
+    others do not."""
+    rng = np.random.default_rng(17)
+    labels = [f'q"{i}' if i % 41 == 40 else f"n{i}" for i in range(400)]
+    a, b = rng.integers(0, 400, size=(2, 600)).tolist()
+    w = rng.uniform(0.1, 5.0, size=600).tolist()
+    return "".join(f"{labels[x]} {labels[y]} {z!r}\n" for x, y, z in zip(a, b, w) if x != y)
+
+
+def test_analyze_quoted_labels(tmp_path):
+    src = tmp_path / "quoted.edges"
+    src.write_text(QUOTED_LABELS_EDGES, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN["analyze_quoted_labels"]
+
+
+def test_analyze_chunked_labels(tmp_path, monkeypatch):
+    # about 400 labels in 7-row ranges
+    monkeypatch.setattr(ingest, "WRITE_CHUNK", 7)
+    src = tmp_path / "seeded.edges"
+    src.write_text(seeded_edges(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
+    assert tree_digest(out) == GOLDEN["analyze_chunked_labels"]
