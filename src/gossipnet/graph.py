@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -76,7 +77,11 @@ def _label_index() -> defaultdict:
 
 
 def _intern(index: defaultdict, labels: list) -> np.ndarray:
-    return np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
+    """The indices of ``labels`` in ``index``, which adds new labels in order
+    of first appearance: one C-level gather."""
+    if len(labels) < 2:  # itemgetter returns one item bare and takes no zero
+        return np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
+    return np.fromiter(operator.itemgetter(*labels)(index), dtype=np.int64, count=len(labels))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

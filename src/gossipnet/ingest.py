@@ -102,17 +102,18 @@ def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray
     lineno = 0
     try:
         with _open_text(path) as fh:
-            while lines := fh.readlines(BLOCK):
+            while block := _read_block(fh):
                 if chosen is None:  # picked on the first data line
-                    data = (line for _, line in _numbered(lines, 0))
+                    data = (line for _, line in _numbered(block.split("\n"), 0))
                     chosen = next((_detect_sep(line, sep) for line in data), None)
-                tokens = _fast_block(lines, n_fields) if chosen == "whitespace" else None
+                tokens = _fast_block(block, n_fields) if chosen == "whitespace" else None
                 part = None if tokens is None else plain(tokens)
                 del tokens  # free this block's strings before the next is read
                 if part is None:
+                    lines = block.split("\n")
                     part = plain(_records(path, sep, chosen, lineno, lines, n_fields, check))
                 parts.append(part)
-                lineno += len(lines)
+                lineno += block.count("\n")
     except UnicodeDecodeError:
         # the next block holds undecodable bytes: read it again line by line,
         # so that a malformed line before them is reported first
@@ -125,10 +126,16 @@ def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _fast_block(lines: list[str], n_fields: int) -> list[str] | None:
+def _read_block(fh: IO[str]) -> str:
+    """The next BLOCK characters of ``fh`` and the line after them: whole
+    lines, cut after "\n" only as iterating the file cuts them, the same
+    lines as ``fh.readlines(BLOCK)``."""
+    return fh.read(BLOCK) + fh.readline()
+
+
+def _fast_block(block: str, n_fields: int) -> list[str] | None:
     """The tokens of a block of whitespace-separated records of ``n_fields``
     fields each, or None when any line needs the line loop."""
-    block = "".join(lines)
     if not block.isascii() or "#" in block:
         return None
     # fields per line: the whitespace just before each token, counted
@@ -224,20 +231,25 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Call
     rank = np.empty(len(texts), dtype=np.int64)
     rank[by_text] = np.arange(len(texts))
     lo, hi = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
+    del a, b
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
-    ranked = np.array(texts, dtype=object)[by_text]
-    # each distinct weight is formatted once
-    values, value_of = np.unique(w[order], return_inverse=True)
-    value_texts = np.array([f"{x:.17g}" for x in values.tolist()], dtype=object)
+    # each line is three cells: both labels with a trailing space, then the
+    # weight with a newline
+    ranked = np.array([texts[v] + " " for v in by_text], dtype=object)
     if isinstance(dest, (str, PathLike)):
         dest = partial(open, dest, "w", encoding="utf-8", newline="\n")
     with dest() if callable(dest) else nullcontext(dest) as fh:
         for start in range(0, len(lo), WRITE_CHUNK):
             chunk = slice(start, start + WRITE_CHUNK)
-            lines = map("{} {} {}\n".format,
-                        ranked[lo[chunk]], ranked[hi[chunk]], value_texts[value_of[chunk]])
-            fh.write("".join(lines))
+            # each distinct weight of the chunk is formatted once
+            values, value_of = np.unique(w[order[chunk]], return_inverse=True)
+            value_texts = np.array([f"{x:.17g}\n" for x in values.tolist()], dtype=object)
+            cells = np.empty((len(value_of), 3), dtype=object)
+            cells[:, 0] = ranked[lo[chunk]]
+            cells[:, 1] = ranked[hi[chunk]]
+            cells[:, 2] = value_texts[value_of]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 class _Events(NamedTuple):

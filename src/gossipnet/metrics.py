@@ -49,9 +49,12 @@ class DegreeCurve:
     def __contains__(self, k: int) -> bool:
         return k in self.points
 
-    def weighted_mean(self) -> float:
-        """Sample-count-weighted mean over all degrees."""
+    def weighted_mean(self) -> float | None:
+        """Sample-count-weighted mean over all degrees; None for a curve
+        without points, as the summary reports a coefficient without victims."""
         total = sum(p.count for p in self.points.values())
+        if total == 0:
+            return None
         return math.fsum(p.value * p.count for p in self.points.values()) / total
 
 

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipnet import (
     GeneratorConfig,
@@ -20,8 +24,8 @@ from gossipnet import (
     run_ensemble,
     summarize,
 )
-from gossipnet import cli
-from gossipnet.cli import _write_labels, build_parser, main
+from gossipnet import cli, ingest
+from gossipnet.cli import _cell, _write_labels, build_parser, main
 from gossipnet.datasets import sample_network
 from gossipnet.generate import _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS, SUMMARY_FIELDS
 from gossipnet.ingest import write_edge_list
@@ -122,6 +126,25 @@ class TestAnalyze:
         assert (tmp_path / "labels.csv").read_bytes() == (
             b'index,label\n0,\n1,true\n2,1.5\n3,"a,b"\n4,7\n5,"q"""\n'
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labels=st.lists(st.one_of(st.text(max_size=4), st.integers()), min_size=1,
+                        max_size=30, unique=True),
+        chunk=st.integers(1, 8),
+    )
+    def test_labels_file_is_what_csv_writes(self, labels, chunk):
+        # every chunk of rows, joined at once or written through csv, reads
+        # as the one csv.writer pass over all labels
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("index", "label"))
+        writer.writerows(enumerate(map(_cell, labels)))
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "WRITE_CHUNK", chunk)
+            _write_labels(lambda: nullcontext(out), build_graph([], nodes=labels))
+        assert out.getvalue() == expected.getvalue()
 
     def test_bundled_network_row_via_cli(self, tmp_path):
         from importlib import resources

@@ -165,7 +165,32 @@ def reference_error(path, sep: str = "auto") -> Exception:
 
 
 LABELS = [f"n{i}" for i in range(25)] + ["\u00e9t\u00e9", "x#y", "\u00df", "q,r", "1_0"]
-SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", " \x1f ", "\u2003", "\xa0"]
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", " \x1f ", "\u2003", "\xa0", "\x85",
+              "\u2028", "\u2029"]
+
+# characters that str.split() reads as whitespace and str.splitlines() as line
+# breaks, and the line endings that the text layer reads as "\n": a line ends
+# after "\n" only, as iterating the file cuts it
+LINE_BREAKS = ["\x0b", "\x0c", "\x85", "\u2028", "\u2029"]
+LINE_ENDINGS = ["\r\n", "\r"]
+# block sizes that cut a file of fixed-length lines in different places
+BOUNDARY_BLOCKS = [24, 40, 45, 64]
+
+
+def at_block_boundary(lines: list[str], block: int, shift: int, case: str) -> tuple[int, str]:
+    """(line index, text) that puts ``case`` on the line ``shift`` lines
+    after the last line of a file's first block of ``block`` characters: a
+    line break as the first separator, a line ending in place of "\n". The
+    lines are all as long; either way the decoded line keeps its length."""
+    at = block // len(lines[0]) + shift
+    line = lines[at]
+    return at, line[:-1] + case if case in LINE_ENDINGS else line.replace(" ", case, 1)
+
+
+def undecodable_after_block(lines: list[bytes], block: int) -> int:
+    """The index of the line just after the last line of the first block of
+    ``block`` characters, in a file of equally long ASCII lines."""
+    return block // len(lines[0]) + 1
 WEIGHTS = ["1", "2", "0.25", "1_000", "1e-3", "2.5E2", "+3", "7.", "0.1"]
 
 
@@ -258,6 +283,40 @@ class TestBlockReader:
             parse_edge_list(p)
         assert str(info.value) == str(expected)
 
+    @pytest.mark.parametrize("block", BOUNDARY_BLOCKS)
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("case", LINE_BREAKS + LINE_ENDINGS)
+    def test_lines_end_after_newline_only(self, tmp_path, monkeypatch, block, shift, case):
+        monkeypatch.setattr(ingest, "BLOCK", block)
+        lines = [f"n{i:03d} n{i + 1:03d} {i % 3 + 1}\n" for i in range(30)]
+        at, lines[at] = at_block_boundary(lines, block, shift, case)
+        p = tmp_path / "g.edges"
+        p.write_bytes("".join(lines).encode())
+        assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
+        lines[at + 2] = "z z 1\n"  # its number counts every line before it
+        p.write_bytes("".join(lines).encode())
+        expected = reference_error(p)
+        assert f":{at + 3}:" in str(expected)
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(p)
+        assert str(info.value) == str(expected)
+
+    @pytest.mark.parametrize("block", [40, 8000, 8192, 9000, 20_000])
+    @pytest.mark.parametrize("bad", [None, 3, -1], ids=["no_bad_line", "early", "block_end"])
+    def test_undecodable_byte_after_a_block(self, tmp_path, monkeypatch, block, bad):
+        monkeypatch.setattr(ingest, "BLOCK", block)
+        lines = [f"n{i:05d} n{i + 1:05d} 1\n".encode() for i in range(3000)]
+        after = undecodable_after_block(lines, block)
+        lines[after] = b"\xff" + lines[after][1:]
+        if bad is not None:
+            lines[bad % after] = b"a b -1\n"
+        p = tmp_path / "bad.edges"
+        p.write_bytes(b"".join(lines))
+        expected = reference_error(p)
+        with pytest.raises(type(expected)) as info:
+            parse_edge_list(p)
+        assert str(info.value) == str(expected)
+
     def test_separator_chosen_on_first_data_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "BLOCK", 40)
         p = tmp_path / "g.edges"
@@ -324,6 +383,19 @@ class TestWriteEdgeList:
         assert len(writes) == -(-g.edge_count // 16)
         assert all(w.count("\n") == 16 for w in writes[:-1])
         assert "".join(writes) == whole.getvalue()
+
+    def test_memory_is_bounded_per_edge(self, tmp_path):
+        # over 2e5 edges whose weights are all distinct: the writer formats
+        # the weights of one chunk at a time, so no per-weight text outlives it
+        rng = np.random.default_rng(12)
+        a = rng.integers(0, 40_000, 210_000)
+        b = (a + rng.integers(1, 40_000, 210_000)) % 40_000
+        w = rng.uniform(0.1, 10.0, 210_000)
+        g = build_graph(zip(map("n{}".format, a.tolist()), map("n{}".format, b.tolist()),
+                            w.tolist()))
+        assert len(np.unique(g._weights)) >= 200_000
+        _, _, peak = traced(lambda: write_edge_list(g, tmp_path / "g.edges"))
+        assert peak < 120 * g.edge_count
 
     def test_rejects_unwritable_labels(self, tmp_path):
         g = build_graph([("a b", "c", 1.0)])
@@ -557,6 +629,40 @@ class TestEventReader:
         expected = reference_error_events(p)
         assert isinstance(expected, UnicodeDecodeError)
         with pytest.raises(UnicodeDecodeError) as info:
+            parse_bipartite(p)
+        assert str(info.value) == str(expected)
+
+    @pytest.mark.parametrize("block", BOUNDARY_BLOCKS)
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("case", LINE_BREAKS + LINE_ENDINGS)
+    def test_lines_end_after_newline_only(self, tmp_path, monkeypatch, block, shift, case):
+        monkeypatch.setattr(ingest, "BLOCK", block)
+        lines = [f"g{i % 7} m{i:03d}\n" for i in range(40)]
+        at, lines[at] = at_block_boundary(lines, block, shift, case)
+        p = tmp_path / "events.txt"
+        p.write_bytes("".join(lines).encode())
+        assert read_records(p) == reference_events(p)
+        lines[at + 2] = "z\n"  # its number counts every line before it
+        p.write_bytes("".join(lines).encode())
+        expected = reference_error_events(p)
+        assert f":{at + 3}:" in str(expected)
+        with pytest.raises(EdgeListError) as info:
+            parse_bipartite(p)
+        assert str(info.value) == str(expected)
+
+    @pytest.mark.parametrize("block", [40, 8000, 8192, 9000, 20_000])
+    @pytest.mark.parametrize("bad", [None, 3, -1], ids=["no_bad_line", "early", "block_end"])
+    def test_undecodable_byte_after_a_block(self, tmp_path, monkeypatch, block, bad):
+        monkeypatch.setattr(ingest, "BLOCK", block)
+        lines = [f"g{i % 5} m{i:05d}\n".encode() for i in range(4000)]
+        after = undecodable_after_block(lines, block)
+        lines[after] = b"\xff" + lines[after][1:]
+        if bad is not None:
+            lines[bad % after] = b"g a b\n"
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"".join(lines))
+        expected = reference_error_events(p)
+        with pytest.raises(type(expected)) as info:
             parse_bipartite(p)
         assert str(info.value) == str(expected)
 

@@ -187,6 +187,14 @@ class TestCurveConsistency:
                 assert sum(curve.count(k) for k in curve.degrees()) == n_victims
                 assert curve.weighted_mean() == pytest.approx(total, rel=1e-9)
 
+    def test_empty_curve_has_no_mean(self):
+        # isolated nodes only: no victim, so no curve point and no sigma
+        a = analyze_network(build_graph([], nodes=["a", "b"]))
+        assert a.summary.sigma is None and a.summary.beta is None
+        for curve in (a.sigma_curve, a.beta_curve):
+            assert len(curve) == 0 and curve.weighted_mean() is None
+        assert DegreeCurve({}).weighted_mean() is None
+
 
 class TestRatioCurves:
     def test_uniform_weights_give_unit_ratio(self, corpus):
