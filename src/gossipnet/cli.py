@@ -141,6 +141,7 @@ def _write_labels(dest: Callable[[], IO[str]], g: WeightedGraph) -> None:
         for start in range(0, len(labels), ingest.WRITE_CHUNK):
             chunk = labels[start:start + ingest.WRITE_CHUNK]
             rows = range(start, start + len(chunk))
+            # a chunk with a label that is no str, or that csv may quote
             text = "".join(chunk) if set(map(type, chunk)) == {str} else ","
             if any(c in text for c in ',"\r\n'):
                 writer.writerows(zip(rows, map(_cell, chunk)))

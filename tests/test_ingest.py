@@ -185,12 +185,6 @@ def at_block_boundary(lines: list[str], block: int, shift: int, case: str) -> tu
     at = block // len(lines[0]) + shift
     line = lines[at]
     return at, line[:-1] + case if case in LINE_ENDINGS else line.replace(" ", case, 1)
-
-
-def undecodable_after_block(lines: list[bytes], block: int) -> int:
-    """The index of the line just after the last line of the first block of
-    ``block`` characters, in a file of equally long ASCII lines."""
-    return block // len(lines[0]) + 1
 WEIGHTS = ["1", "2", "0.25", "1_000", "1e-3", "2.5E2", "+3", "7.", "0.1"]
 
 
@@ -306,7 +300,7 @@ class TestBlockReader:
     def test_undecodable_byte_after_a_block(self, tmp_path, monkeypatch, block, bad):
         monkeypatch.setattr(ingest, "BLOCK", block)
         lines = [f"n{i:05d} n{i + 1:05d} 1\n".encode() for i in range(3000)]
-        after = undecodable_after_block(lines, block)
+        after = block // len(lines[0]) + 1  # the line after the first block
         lines[after] = b"\xff" + lines[after][1:]
         if bad is not None:
             lines[bad % after] = b"a b -1\n"
@@ -655,7 +649,7 @@ class TestEventReader:
     def test_undecodable_byte_after_a_block(self, tmp_path, monkeypatch, block, bad):
         monkeypatch.setattr(ingest, "BLOCK", block)
         lines = [f"g{i % 5} m{i:05d}\n".encode() for i in range(4000)]
-        after = undecodable_after_block(lines, block)
+        after = block // len(lines[0]) + 1  # the line after the first block
         lines[after] = b"\xff" + lines[after][1:]
         if bad is not None:
             lines[bad % after] = b"g a b\n"
