@@ -15,8 +15,8 @@ recorded before the generators drew node weights and each new BA node's
 targets in batches; the recurring-pair projection and chunked-writer
 digests were recorded before the projection and the edge-list writer worked
 in bounded chunks; the quoted-label and chunked-label digests were recorded
-before the edge-list and label writers joined each chunk at once. A refactor that claims unchanged outputs must leave every one
-of them as it is. A digest covers a whole ``--out`` tree (relative paths and
+before the edge-list and label writers joined each chunk at once. A
+refactor that claims unchanged outputs must leave every one of them as it is. A digest covers a whole ``--out`` tree (relative paths and
 file contents) or one stdout capture.
 """
 

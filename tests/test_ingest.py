@@ -167,6 +167,7 @@ def reference_error(path, sep: str = "auto") -> Exception:
 LABELS = [f"n{i}" for i in range(25)] + ["\u00e9t\u00e9", "x#y", "\u00df", "q,r", "1_0"]
 SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", " \x1f ", "\u2003", "\xa0", "\x85",
               "\u2028", "\u2029"]
+WEIGHTS = ["1", "2", "0.25", "1_000", "1e-3", "2.5E2", "+3", "7.", "0.1"]
 
 # characters that str.split() reads as whitespace and str.splitlines() as line
 # breaks, and the line endings that the text layer reads as "\n": a line ends
@@ -185,7 +186,6 @@ def at_block_boundary(lines: list[str], block: int, shift: int, case: str) -> tu
     at = block // len(lines[0]) + shift
     line = lines[at]
     return at, line[:-1] + case if case in LINE_ENDINGS else line.replace(" ", case, 1)
-WEIGHTS = ["1", "2", "0.25", "1_000", "1e-3", "2.5E2", "+3", "7.", "0.1"]
 
 
 def mixed_edge_file(rng: np.random.Generator, comma: bool = False) -> bytes:
