@@ -102,7 +102,10 @@ def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray
     lineno = 0
     try:
         with _open_text(path) as fh:
-            while block := _read_block(fh):
+            # BLOCK characters and the rest of their line: whole lines, cut
+            # after "\n" only as iterating the file cuts them, the same lines
+            # as fh.readlines(BLOCK)
+            while block := fh.read(BLOCK) + fh.readline():
                 if chosen is None:  # picked on the first data line
                     data = (line for _, line in _numbered(block.split("\n"), 0))
                     chosen = next((_detect_sep(line, sep) for line in data), None)
@@ -124,13 +127,6 @@ def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray
     if not parts:  # no lines: empty columns
         parts.append(plain([]))
     return [np.concatenate(column) for column in zip(*parts)]
-
-
-def _read_block(fh: IO[str]) -> str:
-    """The next BLOCK characters of ``fh`` and the line after them: whole
-    lines, cut after "\n" only as iterating the file cuts them, the same
-    lines as ``fh.readlines(BLOCK)``."""
-    return fh.read(BLOCK) + fh.readline()
 
 
 def _fast_block(block: str, n_fields: int) -> list[str] | None:
@@ -234,9 +230,7 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Call
     del a, b
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
-    # each line is three cells: both labels with a trailing space, then the
-    # weight with a newline
-    ranked = np.array([texts[v] + " " for v in by_text], dtype=object)
+    ranked = np.array(texts, dtype=object)[by_text]
     if isinstance(dest, (str, PathLike)):
         dest = partial(open, dest, "w", encoding="utf-8", newline="\n")
     with dest() if callable(dest) else nullcontext(dest) as fh:
@@ -244,12 +238,10 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Call
             chunk = slice(start, start + WRITE_CHUNK)
             # each distinct weight of the chunk is formatted once
             values, value_of = np.unique(w[order[chunk]], return_inverse=True)
-            value_texts = np.array([f"{x:.17g}\n" for x in values.tolist()], dtype=object)
-            cells = np.empty((len(value_of), 3), dtype=object)
-            cells[:, 0] = ranked[lo[chunk]]
-            cells[:, 1] = ranked[hi[chunk]]
-            cells[:, 2] = value_texts[value_of]
-            fh.write("".join(cells.ravel().tolist()))
+            value_texts = np.array([f"{x:.17g}" for x in values.tolist()], dtype=object)
+            lines = map("{} {} {}\n".format,
+                        ranked[lo[chunk]], ranked[hi[chunk]], value_texts[value_of])
+            fh.write("".join(lines))
 
 
 class _Events(NamedTuple):
