@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import shutil
 import sys
@@ -25,7 +26,7 @@ from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Mapping
 
-from . import cascade, generate, metrics
+from . import cascade, generate, ingest, metrics
 from .generate import GeneratorConfig, realization, run_ensemble
 from .graph import WeightedGraph
 from .ingest import (
@@ -130,14 +131,26 @@ def _write_json(dest: Callable[[], IO[str]], **payload) -> None:
 
 
 def _write_labels(dest: Callable[[], IO[str]], g: WeightedGraph) -> None:
+    """``index,label`` rows, ingest.WRITE_CHUNK per write. A chunk of ``str``
+    labels that are printable and hold no ``,`` or ``"`` is one join of
+    ``index,`` / label / newline cells: csv quotes none of them in any
+    version. Any other chunk goes through csv."""
     labels = g.labels
     with dest() as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("index", "label"))
-        # _cell(label) is the label itself for a str, the only label a parsed
-        # file gives
-        cells = labels if set(map(type, labels)) <= {str} else map(_cell, labels)
-        writer.writerows(enumerate(cells))
+        for start in range(0, len(labels), ingest.WRITE_CHUNK):
+            chunk = labels[start:start + ingest.WRITE_CHUNK]
+            rows = range(start, start + len(chunk))
+            text = "".join(chunk) if set(map(type, chunk)) == {str} else "\0"
+            if not text.isprintable() or "," in text or '"' in text:
+                writer.writerows(zip(rows, map(_cell, chunk)))
+                continue
+            cells = [None] * (3 * len(chunk))
+            cells[0::3] = map("{},".format, rows)
+            cells[1::3] = chunk
+            cells[2::3] = itertools.repeat("\n", len(chunk))
+            fh.write("".join(cells))
 
 
 # -- commands -----------------------------------------------------------------

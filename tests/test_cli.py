@@ -24,7 +24,7 @@ from gossipnet import (
     run_ensemble,
     summarize,
 )
-from gossipnet import cli
+from gossipnet import cli, ingest
 from gossipnet.cli import _cell, _write_labels, build_parser, main
 from gossipnet.datasets import sample_network
 from gossipnet.generate import _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS, SUMMARY_FIELDS
@@ -128,16 +128,22 @@ class TestAnalyze:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(labels=st.lists(st.one_of(st.text(max_size=4), st.integers()), min_size=1,
-                           max_size=30, unique=True))
-    def test_labels_file_is_what_csv_writes(self, labels):
-        # all-str labels skip _cell: the bytes are those of _cell over every label
+    @given(
+        labels=st.lists(st.one_of(st.text(max_size=4), st.integers()), min_size=1,
+                        max_size=30, unique=True),
+        chunk=st.integers(1, 8),
+    )
+    def test_labels_file_is_what_csv_writes(self, labels, chunk):
+        # every chunk of rows, joined at once or written through csv, reads
+        # as the one csv.writer pass over all labels
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(("index", "label"))
         writer.writerows(enumerate(map(_cell, labels)))
         out = io.StringIO()
-        _write_labels(lambda: nullcontext(out), build_graph([], nodes=labels))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "WRITE_CHUNK", chunk)
+            _write_labels(lambda: nullcontext(out), build_graph([], nodes=labels))
         assert out.getvalue() == expected.getvalue()
 
     def test_bundled_network_row_via_cli(self, tmp_path):

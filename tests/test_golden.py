@@ -388,8 +388,7 @@ def test_analyze_quoted_labels(tmp_path):
 
 
 def test_analyze_chunked_labels(tmp_path, monkeypatch):
-    # about 400 labels, with the edge-list writer's chunk at 7 rows: labels.csv
-    # does not depend on it
+    # about 400 labels in 7-row ranges
     monkeypatch.setattr(ingest, "WRITE_CHUNK", 7)
     src = tmp_path / "seeded.edges"
     src.write_text(seeded_edges(), encoding="utf-8")

@@ -27,6 +27,19 @@ def test_merge_batches_keep_the_graph(monkeypatch, chunk):
     assert_same_graph(build_graph(records), whole)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 9])
+def test_intern_gathers_in_chunks(monkeypatch, n):
+    # chunks of 3 labels: the last one holds one, two or three labels
+    monkeypatch.setattr(graph, "INTERN_CHUNK", 3)
+    labels = [f"v{i * 7 % 5}" for i in range(n)]
+    index = graph._label_index()
+    index["v4"]  # a label held before
+    expected = {"v4": 0}
+    ids = [expected.setdefault(label, len(expected)) for label in labels]
+    assert graph._intern(index, labels).tolist() == ids
+    assert list(index.items()) == list(expected.items())
+
+
 def test_duplicate_records_merge_by_sum():
     g = build_graph([("a", "b", 1), ("a", "b", 1)])
     assert g.edge_count == 1
