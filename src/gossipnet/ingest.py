@@ -230,7 +230,9 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Call
     del a, b
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
-    ranked = np.array(texts, dtype=object)[by_text]
+    # each line is three cells: both labels with a trailing space, then the
+    # weight with a newline
+    ranked = np.array([texts[v] + " " for v in by_text], dtype=object)
     if isinstance(dest, (str, PathLike)):
         dest = partial(open, dest, "w", encoding="utf-8", newline="\n")
     with dest() if callable(dest) else nullcontext(dest) as fh:
@@ -238,10 +240,12 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Call
             chunk = slice(start, start + WRITE_CHUNK)
             # each distinct weight of the chunk is formatted once
             values, value_of = np.unique(w[order[chunk]], return_inverse=True)
-            value_texts = np.array([f"{x:.17g}" for x in values.tolist()], dtype=object)
-            lines = map("{} {} {}\n".format,
-                        ranked[lo[chunk]], ranked[hi[chunk]], value_texts[value_of])
-            fh.write("".join(lines))
+            value_texts = np.array([f"{x:.17g}\n" for x in values.tolist()], dtype=object)
+            cells = np.empty((len(value_of), 3), dtype=object)
+            cells[:, 0] = ranked[lo[chunk]]
+            cells[:, 1] = ranked[hi[chunk]]
+            cells[:, 2] = value_texts[value_of]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 class _Events(NamedTuple):
