@@ -142,6 +142,7 @@ def _write_labels(dest: Callable[[], IO[str]], g: WeightedGraph) -> None:
         for start in range(0, len(labels), ingest.WRITE_CHUNK):
             chunk = labels[start:start + ingest.WRITE_CHUNK]
             rows = range(start, start + len(chunk))
+            # a label that is no str, or that csv might quote, sends the chunk to csv
             text = "".join(chunk) if set(map(type, chunk)) == {str} else "\0"
             if not text.isprintable() or "," in text or '"' in text:
                 writer.writerows(zip(rows, map(_cell, chunk)))
