@@ -2,13 +2,14 @@
 
 Gossip about a victim ``v`` travels only between neighbors of ``v``: each
 transmission needs a triangle (victim, spreader, target), so a cascade is a
-walk through the subgraph induced by the victim's 1-neighborhood. In the
-base (unweighted) model every knower forwards to all of its local
-neighbors. In the weighted model a node ``s`` keeps quiet when the victim
-is a close friend, i.e. when the edge weight w(s, v) strictly exceeds s's
-mean incident weight; such nodes still receive and count as knowers, they
-just never send. The originator is subject to the same rule before its
-first send.
+walk through the subgraph induced by the victim's 1-neighborhood. Both
+models are one reachability rule and differ only in who forwards. In the
+weighted model a node ``s`` keeps quiet when the victim is a close friend,
+i.e. when w(s, v) strictly exceeds s's mean incident weight, the originator
+included; quiet nodes receive and count as knowers but never send. The
+base (unweighted) model is the weighted one with nobody quiet: the
+component kernel gets an all-true forwarding mask, and the BFS oracle the
+local rows with no quiet node's row emptied.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Label, WeightedGraph, _local_index, _spans, _triangles
+from .graph import Label, WeightedGraph, _local_index, _pairs_after, _spans
 
 MODELS = ("unweighted", "weighted", "both")
 
@@ -27,6 +28,10 @@ MODELS = ("unweighted", "weighted", "both")
 #: list, so a large graph gets at most MAX_BLOCKS larger blocks instead of many.
 BLOCK_SIZE = 1 << 15
 MAX_BLOCKS = 32
+
+#: Wedges closed per batch in the triangle listing. It bounds the
+#: temporaries, never the results.
+WEDGE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,27 +99,25 @@ def is_close_friend(g: WeightedGraph, s: Label, v: Label) -> bool:
     return g.weight(s, v) * g.degree(s) > g.strength(s)
 
 
-def _forwards(g: WeightedGraph, v_idx: int, nbrs: list[int]) -> list[bool]:
-    """Whether each neighbor u in ``nbrs``, the row of ``v_idx``, forwards
-    gossip about it: not w(u, v) * degree(u) > strength(u). The BFS oracle
-    states the close-friend rule here, apart from the component kernel."""
+def _forwards(
+    g: WeightedGraph, v_idx: int, nbrs: list[int], ladj: list[list[int]]
+) -> list[list[int]]:
+    """The local rows ``ladj`` of the neighbors ``nbrs`` of ``v_idx``, with
+    the row of each neighbor u that keeps quiet about it emptied: u is quiet
+    when w(u, v) * degree(u) > strength(u). The BFS oracle states the
+    close-friend rule here, apart from the component kernel."""
     weights = g._weights[g._row(v_idx)].tolist()
     degree, strength = g._degree[nbrs].tolist(), g._strength[nbrs].tolist()
-    return [not w * k > s for w, k, s in zip(weights, degree, strength)]
+    return [[] if w * k > s else row for row, w, k, s in zip(ladj, weights, degree, strength)]
 
 
-def _bfs(
-    ladj: list[list[int]], start: int, fwd: list[bool] | None
-) -> tuple[dict[int, int], int]:
-    """Hop distances from ``start`` along permitted paths.
+def _bfs(ladj: list[list[int]], start: int) -> tuple[dict[int, int], int]:
+    """Hop distances from ``start`` along the local rows ``ladj``.
 
-    Expansion happens only from forwarding nodes (all nodes when ``fwd`` is
-    None); non-forwarding nodes are reached and recorded but never expanded.
+    A node with an empty row is reached and recorded but sends to nobody.
     Returns (local index -> hop distance, max distance).
     """
     dist = {start: 0}
-    if fwd is not None and not fwd[start]:
-        return dist, 0
     tau = 0
     queue = deque([start])
     while queue:
@@ -124,8 +127,7 @@ def _bfs(
             if y not in dist:
                 dist[y] = d
                 tau = d
-                if fwd is None or fwd[y]:
-                    queue.append(y)
+                queue.append(y)
     return dist, tau
 
 
@@ -154,21 +156,17 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return root
 
 
-def _reach_counts(
-    n: int, a: np.ndarray, b: np.ndarray, fwd: np.ndarray | None
-) -> np.ndarray:
-    """Knower count of every originator among ``n`` local nodes with local
-    edges a-b, where ``fwd`` says which nodes forward (None: all of them).
+def _reach_counts(a: np.ndarray, b: np.ndarray, fwd: np.ndarray) -> np.ndarray:
+    """Knower count of every originator among the local nodes joined by
+    local edges a-b, where the mask ``fwd`` says which nodes forward.
 
     Forwarding nodes sharing a component of the forwarding-only subgraph
     reach that whole component plus its non-forwarding boundary, each
     boundary node counted once; a non-forwarding originator reaches nobody
-    (count 1). With every node forwarding the boundary is empty and the
-    count is the component size.
+    (count 1). The base model is the mask with every node forwarding: the
+    boundary is empty and the count is the component size.
     """
-    if fwd is None:
-        root = _components(n, a, b)
-        return np.bincount(root, minlength=n)[root]
+    n = len(fwd)
     fa, fb = fwd[a], fwd[b]
     root = _components(n, a[fa & fb], b[fa & fb])
     reach = np.bincount(root, minlength=n)
@@ -181,6 +179,44 @@ def _reach_counts(
     distinct = np.diff(pairs, prepend=-1) != 0
     reach += np.bincount(pairs[distinct] // n, minlength=n)
     return reach[root]
+
+
+def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every triangle once, as its three directed slots (x→y, y→z, z→x).
+
+    Wedges are formed at each triangle's lowest vertex in (degree, index)
+    order (Chiba & Nishizeki 1985; Latapy 2008) and closed by a binary
+    search for the slot y→z among the sorted slot keys ``row * N + col``.
+    ``rows`` is the row of every slot.
+    """
+    n = g.node_count
+    indices = g._indices
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g._degree, kind="stable")] = np.arange(n)
+    keys = rows * n + indices
+    out = np.flatnonzero(rank[indices] > rank[rows])  # slots x→y, y above x
+    out_rows = rows[out]
+    del rank
+    # out-slots after each one in its row: the wedges it opens as x→y
+    later = np.cumsum(np.bincount(out_rows, minlength=n))[out_rows] - 1 - np.arange(len(out))
+    del out_rows
+
+    found = tuple([np.empty(0, dtype=np.int32)] for _ in range(3))
+    for q0, q1 in _spans(later, WEDGE_CHUNK):
+        first, second = _pairs_after(later[q0:q1], q0)
+        xy, xz = out[first], out[second]
+        wanted = indices[xy] * n + indices[xz]
+        yz = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = keys[yz] == wanted
+        found[0].append(xy[hit].astype(np.int32))
+        found[1].append(yz[hit].astype(np.int32))
+        found[2].append(g._reverse[xz[hit]])
+    del keys, out, later
+    cycle = []
+    for parts in found:
+        cycle.append(np.concatenate(parts))
+        parts.clear()
+    return tuple(cycle)
 
 
 def _slot_counts(
@@ -214,13 +250,13 @@ def _slot_counts(
             b_parts.append(reverse[before[inside]] - s0)
         a, b = np.concatenate(a_parts), np.concatenate(b_parts)
         if run_u:
-            n_per[s0:s1] = _reach_counts(s1 - s0, a, b, None)
+            n_per[s0:s1] = _reach_counts(a, b, np.ones(s1 - s0, dtype=bool))
         if run_w:
             # the far end u of slot v→u forwards unless v is its close friend:
             # w(u, v) * degree(u) > strength(u)
             u = g._indices[s0:s1]
             fwd = ~(g._weights[s0:s1] * g._degree[u] > g._strength[u])
-            m_per[s0:s1] = _reach_counts(s1 - s0, a, b, fwd)
+            m_per[s0:s1] = _reach_counts(a, b, fwd)
     return triangles, n_per, m_per
 
 
@@ -233,8 +269,9 @@ def _require_neighbor(g: WeightedGraph, v: Label, r: Label) -> tuple[int, int]:
 def _cascade(g: WeightedGraph, v: Label, r: Label, weighted: bool) -> CascadeResult:
     v_idx, r_idx = _require_neighbor(g, v, r)
     nbrs, ladj = _local_index(g, v_idx)
-    fwd = _forwards(g, v_idx, nbrs) if weighted else None
-    dist, tau = _bfs(ladj, nbrs.index(r_idx), fwd)
+    if weighted:
+        ladj = _forwards(g, v_idx, nbrs, ladj)
+    dist, tau = _bfs(ladj, nbrs.index(r_idx))
     knowers = frozenset(g.label_of(nbrs[i]) for i in dist)
     return CascadeResult(
         victim=v,
@@ -276,7 +313,7 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
     if k == 0:
         return VictimSpread(victim=v, degree=0, sigma=None, beta=None, per_originator=())
 
-    fwd = _forwards(g, v_idx, nbrs) if run_w else None
+    wadj = _forwards(g, v_idx, nbrs, ladj) if run_w else None
 
     outcomes = []
     n_total = 0
@@ -284,11 +321,11 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
     for i in range(k):
         sigma = beta = tau_u = tau_w = None
         if run_u:
-            dist, tau_u = _bfs(ladj, i, None)
+            dist, tau_u = _bfs(ladj, i)
             n_total += len(dist)
             sigma = len(dist) / k
         if run_w:
-            dist, tau_w = _bfs(ladj, i, fwd)
+            dist, tau_w = _bfs(wadj, i)
             m_total += len(dist)
             beta = len(dist) / k
         outcomes.append(OriginatorOutcome(g.label_of(nbrs[i]), sigma, beta, tau_u, tau_w))

@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a seeded generator ensemble",
                        description="Generate an ensemble, summarize every realization "
                                    "and write aggregate reports.")
-    _add_generator_flags(p, default_realizations=50)
+    _add_generator_flags(p, default_realizations=GeneratorConfig.realizations)
     p.add_argument("--out", required=True, help="output directory")
     _add_report_flags(p)
     p.add_argument("--workers", type=_at_least_one, default=1,

@@ -14,6 +14,7 @@ of its endpoint values.
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import math
 import os
@@ -344,11 +345,6 @@ def run_ensemble(
 
 # -- plain key-value config files --------------------------------------------
 
-_INT_FIELDS = {"N", "m0", "m", "k", "seed", "realizations"}
-_FLOAT_FIELDS = {"p", "weight_mean", "weight_stddev"}
-_STR_FIELDS = {"model", "weight_truncation"}
-_ALL_FIELDS = _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS
-
 
 def save_config(cfg: GeneratorConfig, path: str | PathLike[str]) -> None:
     """Write ``key = value`` lines, one per set field, in declaration order."""
@@ -366,17 +362,19 @@ def load_config(path: str | PathLike[str], **overrides) -> GeneratorConfig:
     Keyword overrides replace file values (e.g. ``seed=...`` for a new run).
     A repeated key or a malformed value raises ValueError naming its line.
     """
+    # each key's type: the first name in its field's annotation, "float | None"
+    kinds = {f.name: getattr(builtins, f.type.split()[0]) for f in fields(GeneratorConfig)}
     kwargs: dict[str, object] = {}
     set_on: dict[str, int] = {}
     for lineno, line in _data_lines(path):
         key, eq, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not eq or key not in _ALL_FIELDS:
+        if not eq or key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown config line {line!r}")
         if key in set_on:
             raise ValueError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
         set_on[key] = lineno
-        kind = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
+        kind = kinds[key]
         try:
             kwargs[key] = kind(value)
         except ValueError:

@@ -25,18 +25,14 @@ import numpy as np
 
 Label = Hashable
 
-#: Wedges closed per batch in the triangle listing. It bounds the
-#: temporaries, never the results.
-WEDGE_CHUNK = 1 << 14
-
 #: Labels looked up per gather when a block of labels is interned. It
 #: bounds the gather's two temporary tuples, never the results: tuples of a
 #: whole 64 KiB block left the heap fragmented enough to raise the peak RSS
 #: of the analysis after the read.
 INTERN_CHUNK = 1 << 11
 
-#: Records ranked per batch when a graph merges its records. Like
-#: WEDGE_CHUNK, it bounds temporaries, never results.
+#: Records ranked per batch when a graph merges its records. It bounds
+#: temporaries, never results.
 MERGE_CHUNK = 1 << 16
 
 
@@ -431,44 +427,6 @@ def _pairs_after(later: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]
     first = np.repeat(np.arange(start, start + len(later)), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     return first, second
-
-
-def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every triangle once, as its three directed slots (x→y, y→z, z→x).
-
-    Wedges are formed at each triangle's lowest vertex in (degree, index)
-    order (Chiba & Nishizeki 1985; Latapy 2008) and closed by a binary
-    search for the slot y→z among the sorted slot keys ``row * N + col``.
-    ``rows`` is the row of every slot.
-    """
-    n = g.node_count
-    indices = g._indices
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(g._degree, kind="stable")] = np.arange(n)
-    keys = rows * n + indices
-    out = np.flatnonzero(rank[indices] > rank[rows])  # slots x→y, y above x
-    out_rows = rows[out]
-    del rank
-    # out-slots after each one in its row: the wedges it opens as x→y
-    later = np.cumsum(np.bincount(out_rows, minlength=n))[out_rows] - 1 - np.arange(len(out))
-    del out_rows
-
-    found = tuple([np.empty(0, dtype=np.int32)] for _ in range(3))
-    for q0, q1 in _spans(later, WEDGE_CHUNK):
-        first, second = _pairs_after(later[q0:q1], q0)
-        xy, xz = out[first], out[second]
-        wanted = indices[xy] * n + indices[xz]
-        yz = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        hit = keys[yz] == wanted
-        found[0].append(xy[hit].astype(np.int32))
-        found[1].append(yz[hit].astype(np.int32))
-        found[2].append(g._reverse[xz[hit]])
-    del keys, out, later
-    cycle = []
-    for parts in found:
-        cycle.append(np.concatenate(parts))
-        parts.clear()
-    return tuple(cycle)
 
 
 def induced_neighborhood(g: WeightedGraph, v: Label) -> Neighborhood:

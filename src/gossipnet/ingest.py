@@ -196,7 +196,9 @@ def _check_edge(path, lineno: int, fields: list[str]) -> None:
 
 
 def _writable(text: str) -> bool:
-    return text.split() == [text] and "," not in text and text[0] != "#"
+    # one label on reading back: no whitespace or comma, and no leading "#"
+    # (a comment) or U+FEFF (a byte-order mark when it starts the file)
+    return text.split() == [text] and "," not in text and text[0] not in "#\ufeff"
 
 
 def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Callable) -> None:

@@ -1,0 +1,130 @@
+"""Mutation canaries: faults the tests are known to catch, kept as a table.
+
+Each row names a module of ``src/gossipnet``, a snippet that occurs there
+exactly once, its replacement, the tests that must fail on the result, and
+the opening words of the CHANGES.md entry that recorded the check. The
+runner applies each row to a temporary copy of ``src/`` and runs only the
+row's tests against that copy. A row holds when pytest exits 1 and every
+named test fails by assertion. A missing or repeated snippet fails the run,
+so a refactor that moves the code must update its row.
+
+The file is not collected by pytest. Run it from anywhere:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    source: str
+
+
+MUTANTS = (
+    Mutant(  # the kernel's forwarding mask: a tie on the threshold goes quiet
+        "cascade.py",
+        "fwd = ~(g._weights[s0:s1] * g._degree[u] > g._strength[u])",
+        "fwd = ~(g._weights[s0:s1] * g._degree[u] >= g._strength[u])",
+        ("tests/test_scale.py::test_kernel_equals_oracle_with_tied_weights",
+         "tests/test_cascade.py::test_kernel_matches_oracle_with_weight_ties",
+         "tests/test_golden.py::test_analyze_lesmis"),
+        "One per-victim path, the BFS oracle",
+    ),
+    Mutant(  # a quiet node next to a component counted once per edge to it
+        "cascade.py",
+        "reach += np.bincount(pairs[distinct] // n, minlength=n)",
+        "reach += np.bincount(pairs // n, minlength=n)",
+        ("tests/test_scale.py::test_weighted_model_never_reaches_more_per_slot",
+         "tests/test_scale.py::test_kernel_equals_oracle_on_a_sample",
+         "tests/test_cascade.py::test_kernel_matches_oracle_with_weight_ties"),
+        "One builder per result",
+    ),
+    Mutant(  # the oracle's close-friend rule: a tie on the threshold goes quiet
+        "cascade.py",
+        "[] if w * k > s else row",
+        "[] if w * k >= s else row",
+        ("tests/test_cascade.py::TestWeightedCascade::test_uniform_triangle_everyone_forwards",
+         "tests/test_acceptance.py::test_c07_uniform_weight_reduction[1.0]",
+         "tests/test_cascade.py::test_kernel_matches_oracle_with_weight_ties"),
+        "One reachability rule for both spread models",
+    ),
+    Mutant(  # the oracle lets a quiet neighbor forward
+        "cascade.py",
+        "[] if w * k > s else row",
+        "row",
+        ("tests/test_cascade.py::TestWeightedCascade::test_strong_tie_blocks_originator",
+         "tests/test_cascade.py::TestWeightedCascade::test_blocked_node_still_receives",
+         "tests/test_acceptance.py::test_c02_sample_network_weighted_exact"),
+        "One reachability rule for both spread models",
+    ),
+    Mutant(  # the base model forwards as the weighted one does
+        "cascade.py",
+        "_reach_counts(a, b, np.ones(s1 - s0, dtype=bool))",
+        "_reach_counts(a, b, ~(g._weights[s0:s1] * g._degree[g._indices[s0:s1]]"
+        " > g._strength[g._indices[s0:s1]]))",
+        ("tests/test_cascade.py::TestWholeGraphCounts::test_sample_network",
+         "tests/test_acceptance.py::test_c04_les_miserables_reference_row",
+         "tests/test_golden.py::test_analyze_lesmis"),
+        "One reachability rule for both spread models",
+    ),
+)
+
+
+def check(m: Mutant, tmp: Path) -> str | None:
+    """None when row ``m`` holds, else what went wrong."""
+    src = tmp / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "gossipnet" / m.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(m.snippet) != 1:
+        return f"the snippet occurs {text.count(m.snippet)} times in {m.file}, not once"
+    path.write_text(text.replace(m.snippet, m.replacement), encoding="utf-8")
+    # the mutated copy goes first on sys.path, ahead of the checkout's src/;
+    # a wide terminal keeps each failure's message in the summary
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--tb=no", "-rf", "-o", f"pythonpath={src}", *m.tests],
+        cwd=ROOT, capture_output=True, text=True, env=dict(os.environ, COLUMNS="10000"),
+    )
+    if proc.returncode != 1:
+        return f"pytest exited {proc.returncode}, not 1:\n{proc.stdout}{proc.stderr}"
+    failed = dict(re.findall(r"^FAILED (\S+) - (.*)$", proc.stdout, re.M))
+    for test in m.tests:
+        if not failed.get(test, "").startswith(("assert", "AssertionError")):
+            return f"{test} did not fail by assertion: {failed.get(test, 'it passed')}"
+    return None
+
+
+def main() -> int:
+    changes = (ROOT / "CHANGES.md").read_text(encoding="utf-8")
+    broken = 0
+    for m in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            problem = check(m, Path(tmp))
+        if problem is None and m.source not in changes:
+            problem = f"CHANGES.md has no entry {m.source!r}"
+        broken += problem is not None
+        print(f"{'ok  ' if problem is None else 'FAIL'} {m.file}: {m.snippet!r} -> {m.replacement!r}")
+        if problem is not None:
+            print(f"     {problem}")
+    print(f"{len(MUTANTS) - broken} of {len(MUTANTS)} mutants caught by their tests")
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,6 @@ from gossipnet import (
     cascade,
     cascade_unweighted,
     cascade_weighted,
-    graph,
     is_close_friend,
     summarize,
     victim_spread,
@@ -299,7 +298,7 @@ def test_blocking_never_changes_counts(corpus, monkeypatch):
     expected = [analyze_network(g) for g in graphs]
     monkeypatch.setattr(cascade, "BLOCK_SIZE", 1)
     monkeypatch.setattr(cascade, "MAX_BLOCKS", 10**9)
-    monkeypatch.setattr(graph, "WEDGE_CHUNK", 1)
+    monkeypatch.setattr(cascade, "WEDGE_CHUNK", 1)
     for g, before in zip(graphs, expected):
         assert analyze_network(g) == before
         assert_kernel_matches_oracle(g)

@@ -27,7 +27,7 @@ from gossipnet import (
 from gossipnet import cli, ingest
 from gossipnet.cli import _cell, _write_labels, build_parser, main
 from gossipnet.datasets import sample_network
-from gossipnet.generate import _FLOAT_FIELDS, _INT_FIELDS, _STR_FIELDS, SUMMARY_FIELDS
+from gossipnet.generate import SUMMARY_FIELDS
 from gossipnet.ingest import write_edge_list
 
 
@@ -277,9 +277,10 @@ class TestProject:
         assert "label" in capsys.readouterr().err
         assert run("project", "--input", str(src), "--out", str(tmp_path / "o.edges")) == 2
 
-    @pytest.mark.parametrize("label", ["a,x", "#x"])
+    @pytest.mark.parametrize("label", ["a,x", "#x", "\ufeffa"])
     def test_labels_unreadable_as_edge_list_are_input_errors(self, tmp_path, capsys, label):
-        # "a,x" would read back as a comma-separated record, "#x" as a comment
+        # "a,x" would read back as a comma-separated record, "#x" as a
+        # comment, and "\ufeffa" starting the file as "a" after a byte-order mark
         src = tmp_path / "events.txt"
         src.write_text(f"e1 b\ne1 {label}\n")
         assert run("project", "--input", str(src)) == 2
@@ -575,13 +576,20 @@ class TestExitCodes:
 
 
 def test_every_config_field_has_one_flag_and_one_config_key():
-    names = {f.name for f in fields(GeneratorConfig)}
+    # each field's annotation, read as load_config reads it, is the type of
+    # its flag: its argparse type, or str for a flag with choices
+    kinds = {f.name: f.type.split()[0] for f in fields(GeneratorConfig)}
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     own_flags = {"generate": {"help", "out"},
                  "sweep": {"help", "out", "format", "min_samples", "workers"}}
     for command, own in own_flags.items():
-        assert {a.dest for a in sub.choices[command]._actions} - own == names
-    assert _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS == names
+        flags = [a for a in sub.choices[command]._actions if a.dest not in own]
+        assert sorted(a.dest for a in flags) == sorted(kinds)
+        for a in flags:
+            if a.choices is None:
+                assert a.type.__name__ == kinds[a.dest], a.dest
+            else:
+                assert kinds[a.dest] == "str" and all(isinstance(c, str) for c in a.choices)
 
 
 def test_summary_columns_name_every_summary_field_once():

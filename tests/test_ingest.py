@@ -472,6 +472,53 @@ class TestWriteEdgeList:
         write_edge_list(build_graph([("z", "m", 1.5), ("a", "z", 2.0)]), opener)
         assert calls == [p] and p.read_text() == "a z 2\nm z 1.5\n"
 
+    def test_leading_byte_order_mark_is_refused(self, tmp_path):
+        # the reader drops a U+FEFF that starts the file, so a label that
+        # starts with one and sorts first would read back without it
+        g = build_graph([("\ufeffa", "！", 1.0)])
+        with pytest.raises(ValueError, match=r"label '\\ufeffa' cannot"):
+            write_edge_list(g, tmp_path / "g.edges")
+        assert not (tmp_path / "g.edges").exists()
+        stream = io.StringIO()
+        write_edge_list(build_graph([("a\ufeff", "！", 1.0)]), stream)
+        assert stream.getvalue() == "a\ufeff ！ 1\n"
+
+    def test_every_written_file_reads_back(self, tmp_path):
+        # wide and astral labels with an occasional character the reader
+        # treats specially: a file is either refused unwritten, or it reads
+        # back to the same labels, edges and weight bits
+        rng = np.random.default_rng(18)
+        plain = ["！", "ｱ", "가", "\U0001f600"]
+        special = [" ", "\t", "\r", "\n", "\x0b", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+                   ",", "#", '"', "\x00", "\u200b", "\ufeff"]
+        p = tmp_path / "g.edges"
+        written = 0
+        for _ in range(1500):
+            def label():
+                chars = [plain[i] for i in rng.integers(0, len(plain), int(rng.integers(1, 4)))]
+                if rng.random() < 0.2:
+                    chars.insert(int(rng.integers(0, len(chars) + 1)),
+                                 special[int(rng.integers(len(special)))])
+                return "".join(chars)
+
+            records = [(a, b, float(rng.choice([1.0, rng.uniform(0.01, 9.0)])))
+                       for a, b in ((label(), label()) for _ in range(int(rng.integers(1, 5))))
+                       if a != b]
+            g = build_graph(records)
+            try:
+                write_edge_list(g, p)
+            except ValueError:
+                assert not p.exists()
+                continue
+            back = parse_edge_list(p)
+            p.unlink()
+            written += 1
+            assert sorted(back.labels) == sorted(g.labels)
+            for a, b, w in g.edges():
+                assert np.float64(back.weight(a, b)).tobytes() == np.float64(w).tobytes()
+            assert back.edge_count == g.edge_count
+        assert written > 500
+
 
 class TestParseBipartite:
     def test_groups_merge_even_when_scattered(self, tmp_path):
