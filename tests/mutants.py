@@ -82,6 +82,28 @@ MUTANTS = (
          "tests/test_golden.py::test_analyze_lesmis"),
         "One reachability rule for both spread models",
     ),
+    Mutant(  # the edge-list reader hands the graph an index that grows on lookup
+        "ingest.py",
+        "    index.default_factory = None\n    return _from_pairs(index, ends.reshape(-1, 2), weights)",
+        "    return _from_pairs(index, ends.reshape(-1, 2), weights)",
+        ("tests/test_graph.py::test_unknown_node_raises[parse_edge_list]",),
+        "One label index",
+    ),
+    Mutant(  # strengths summed left to right instead of correctly rounded
+        "graph.py",
+        "sums[v] = math.fsum(weights[a:b].tolist())",
+        "sums[v] = sum(weights[a:b].tolist())",
+        ("tests/test_graph.py::test_strengths_are_fsum_of_mixed_rows",
+         "tests/test_acceptance.py::test_c07_uniform_weight_reduction[0.1]"),
+        "Every command process freezes its import-time heap",
+    ),
+    Mutant(  # a command process that keeps its import-time heap live
+        "cli.py",
+        "    gc.freeze()\n",
+        "",
+        ("tests/test_cli.py::TestEntry::test_freezes_the_heap_once_before_main",),
+        "Every command process freezes its import-time heap",
+    ),
 )
 
 

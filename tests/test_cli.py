@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
@@ -251,6 +255,40 @@ class TestSweep:
         assert rows and set(rows[0]) == {
             "k", "realizations", "victims", "sigma_k", "beta_k", "cc_k"
         }
+
+
+class TestEntry:
+    def test_freezes_the_heap_once_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+        assert calls == ["freeze", "main"]
+        assert exit_.value.code == 2
+
+    def test_main_alone_never_freezes(self, tmp_path, sample_file):
+        frozen = gc.get_freeze_count()
+        assert run("analyze", "--input", str(sample_file), "--out", str(tmp_path / "a")) == 0
+        assert run("sweep", "--model", "ER", "--N", "20", "--p", "0.2", "--realizations", "2",
+                   "--workers", "2", "--out", str(tmp_path / "s")) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_fresh_processes_sweep_byte_identical_across_workers(self, tmp_path):
+        # pool workers forked from a frozen parent, as the console script runs
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        trees = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gossipnet.cli", "sweep", "--model", "WS", "--N", "40",
+                 "--k", "4", "--p", "0.2", "--seed", "3", "--realizations", "3",
+                 "--workers", workers, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
 
 
 class TestProject:

@@ -98,6 +98,8 @@ def test_unknown_node_raises(tmp_path, builder):
     else:
         (tmp_path / "g.edges").write_text("a b 1\n", encoding="utf-8")
         g = parse_edge_list(tmp_path / "g.edges")
+    # the index the graph keeps gives no new index on lookup
+    assert g._index.default_factory is None
     with pytest.raises(KeyError, match="unknown node"):
         g.degree("zzz")
     # a failed lookup does not add the label to the graph's index
