@@ -434,9 +434,9 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     # Freeze what the imports made (about 22 000 tracked objects, most of
     # them numpy's) into the permanent generation. Finalization's full
-    # collections then skip them, and sweep's forked pool workers inherit a
-    # frozen heap whose GC headers they never write: the pre-fork recipe of
-    # the gc module docs. main() and the library never freeze, since tests
+    # collections then skip them, and the workers that sweep forks from this
+    # process inherit a frozen heap whose GC headers they never write: the
+    # pre-fork recipe of the gc module docs. main() and the library never freeze, since tests
     # and library callers run them inside a live heap.
     gc.freeze()
     sys.exit(main())

@@ -4,7 +4,9 @@ plus seeded ensemble runs.
 Every realization is reproducible in isolation: realization ``i`` of a
 config with seed ``s`` draws each part (structure, weights) from its own RNG
 stream ``SeedSequence([s, i, SEED_STREAMS[part]])``, so ensembles can run on
-any number of workers without changing the output.
+any number of workers without changing the output. The workers are children
+forked from the calling process, which imports ``numpy.random`` first so that
+they inherit it; no executor or ``multiprocessing`` is involved.
 
 Weights follow a per-node scheme: each node draws w_i from a Gaussian with
 the configured mean and standard deviation (redrawn until above a small
@@ -18,8 +20,10 @@ import builtins
 import itertools
 import math
 import os
+import pickle
 from dataclasses import dataclass, fields, replace
 from os import PathLike
+from typing import Callable
 
 import numpy as np
 
@@ -127,14 +131,24 @@ def _stream(cfg: GeneratorConfig, realization_index: int, part: str) -> np.rando
     return np.random.default_rng(seq)
 
 
+#: Doubles per ER draw: whole upper-triangle rows, about this many at a time
+ER_CHUNK = 1 << 16
+
+
 def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    # one upper-triangle row per draw: the same doubles in the same order as a
-    # single draw over all pairs, in O(N) memory
-    rows = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
-    counts = [len(r) for r in rows]
-    return np.column_stack(
-        (np.repeat(np.arange(n - 1), counts), np.concatenate(rows, dtype=np.int64))
-    )
+    # whole upper-triangle rows per draw: the same doubles in the same order as
+    # a single draw over all pairs, in O(N + ER_CHUNK) memory. Pair t of the
+    # flat order lies in the row whose start is the last one at or below t.
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    hits = []
+    i = 0
+    while i < n - 1:
+        j = max(i + 1, int(np.searchsorted(starts, starts[i] + ER_CHUNK, side="right")) - 1)
+        hits.append(np.flatnonzero(rng.random(starts[j] - starts[i]) < p) + starts[i])
+        i = j
+    flat = np.concatenate(hits)
+    rows = np.searchsorted(starts, flat, side="right") - 1
+    return np.column_stack((rows, flat - starts[rows] + rows + 1))
 
 
 def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -256,11 +270,6 @@ class EnsembleSummary:
     k0w_of_mean_curve: int | None
 
 
-def _summarize_realization(args: tuple[GeneratorConfig, int, int]) -> NetworkAnalysis:
-    cfg, index, min_samples = args
-    return analyze_network(realization(cfg, index), "both", min_samples)
-
-
 def _mean_curve(
     curves: list[DegreeCurve],
 ) -> tuple[DegreeCurve, dict[int, int]]:
@@ -278,8 +287,79 @@ def _mean_curve(
 
 
 def _pool_size(workers: int, realizations: int) -> int:
-    """Worker processes to start: at most one per realization and per CPU."""
-    return min(_at_least_one(workers, "workers"), realizations, os.cpu_count() or 1)
+    """Worker processes to fork: at most one per realization and per CPU, and
+    none where the platform cannot fork."""
+    size = min(_at_least_one(workers, "workers"), realizations, os.cpu_count() or 1)
+    return size if hasattr(os, "fork") else 1
+
+
+def _run_share(analysis: Callable[[int], NetworkAnalysis], n: int, start: int, step: int,
+               fd: int) -> None:
+    """In a forked child: call ``analysis(i)`` for i = start, start + step, ...
+    below ``n`` and pickle to ``fd`` the results, or ``(i, exception)`` at the
+    first failure. Leaves only through ``os._exit``, so none of the parent's
+    buffers or exit handlers run twice; exit status 3 when nothing could be
+    sent."""
+    code = 3
+    try:
+        result: object = []
+        i = start
+        try:
+            for i in range(start, n, step):
+                result.append(analysis(i))
+        except BaseException as exc:
+            result = (i, exc)
+        data = pickle.dumps(result)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_map(
+    analysis: Callable[[int], NetworkAnalysis], n: int, pool_size: int
+) -> list[NetworkAnalysis]:
+    """``[analysis(i) for i in range(n)]`` from ``pool_size`` forked children;
+    child ``w`` takes every ``pool_size``-th index from ``w``. Raises the
+    failure of the lowest index, as the loop would; a child that sends
+    nothing fails at its first index. Every child is killed and reaped
+    before this returns or raises."""
+    # imported here: a process that never forks does not pay for it
+    import signal
+
+    children = {}  # pid -> read end of the child's pipe
+    try:
+        for w in range(pool_size):
+            r, fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(analysis, n, w, pool_size, fd)
+            os.close(fd)
+            children[pid] = os.fdopen(r, "rb")
+        sent = [fh.read() for fh in children.values()]
+    finally:
+        # a child whose pipe is at EOF has exited or is exiting
+        statuses = []
+        for pid, fh in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    analyses: list = [None] * n
+    failures: list[tuple[int, BaseException]] = []
+    for w, (pid, data, status) in enumerate(zip(children, sent, statuses)):
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+            error = RuntimeError(f"sweep worker {pid} ended without a result ({how})")
+            failures.append((w, error))
+        elif isinstance(result := pickle.loads(data), tuple):
+            failures.append(result)
+        else:
+            analyses[w::pool_size] = result
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return analyses
 
 
 def run_ensemble(
@@ -288,24 +368,28 @@ def run_ensemble(
     """Generate, weight and summarize ``cfg.realizations`` independent
     networks and aggregate the results.
 
-    ``workers`` > 1 distributes realizations over processes, never more than
-    there are realizations or CPUs; the output is identical for any worker
-    count because every realization owns its RNG streams and aggregation
-    runs in realization order. Raises ValueError for ``min_samples`` or
-    ``workers`` < 1.
+    ``workers`` > 1 forks that many children, never more than there are
+    realizations or CPUs; of W children, child w runs realizations w, w + W,
+    w + 2W, ... Without ``os.fork`` every realization runs in this process.
+    The output is identical for any worker count because every realization
+    owns its RNG streams and aggregation runs in realization order. Raises
+    ValueError for ``min_samples`` or ``workers`` < 1, and a failed
+    realization's exception, the lowest index's when several fail.
     """
     cfg.validate()
     _at_least_one(min_samples, "min_samples")
     pool_size = _pool_size(workers, cfg.realizations)
-    jobs = [(cfg, i, min_samples) for i in range(cfg.realizations)]
-    if pool_size > 1:
-        # imported here: it costs every process that never starts a pool
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            analyses = list(pool.map(_summarize_realization, jobs))
+    def analysis(i: int) -> NetworkAnalysis:
+        return analyze_network(realization(cfg, i), "both", min_samples)
+
+    if pool_size > 1:
+        # the children inherit numpy.random rather than each importing it
+        import numpy.random  # noqa: F401
+
+        analyses = _forked_map(analysis, cfg.realizations, pool_size)
     else:
-        analyses = [_summarize_realization(job) for job in jobs]
+        analyses = [analysis(i) for i in range(cfg.realizations)]
 
     summaries = tuple(a.summary for a in analyses)
     mean: dict[str, float | None] = {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,13 @@ def sample9() -> WeightedGraph:
 @pytest.fixture(scope="session")
 def lesmis() -> WeightedGraph:
     return les_miserables()
+
+
+@pytest.fixture()
+def forking(monkeypatch):
+    """This process's pid, with two CPUs as far as the pool size goes, so that
+    ``workers=2`` forks two children; afterwards no child is left unreaped."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    yield os.getpid()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -104,6 +104,47 @@ MUTANTS = (
         ("tests/test_cli.py::TestEntry::test_freezes_the_heap_once_before_main",),
         "Every command process freezes its import-time heap",
     ),
+    Mutant(  # a hit on a row's first pair credited to the row before it
+        "generate.py",
+        'rows = np.searchsorted(starts, flat, side="right") - 1',
+        'rows = np.searchsorted(starts, flat, side="left") - 1',
+        ("tests/test_generate.py::TestBatchDraws::test_er_edges_equal_rowwise_draws[65536]",
+         "tests/test_golden.py::test_generate_n200[er]",
+         "tests/test_golden.py::test_sweep_n200[er]",
+         "tests/test_golden.py::test_generate_n1000[er]"),
+        "Sweep workers are forked children",
+    ),
+    Mutant(  # a sweep worker runs every realization from its first one on
+        "generate.py",
+        "for i in range(start, n, step):",
+        "for i in range(start, n):",
+        ("tests/test_cli.py::TestSweep::test_worker_counts_byte_identical",
+         "tests/test_cli.py::TestEntry::test_fresh_processes_sweep_byte_identical_across_workers"),
+        "Sweep workers are forked children",
+    ),
+    Mutant(  # a worker's failure is dropped, its realizations left empty
+        "generate.py",
+        "    if failures:\n        raise min(failures, key=lambda f: f[0])[1]\n",
+        "",
+        ("tests/test_cli.py::TestExitCodes::test_overflow_in_a_forked_worker_is_usage_error",
+         "tests/test_cli.py::TestExitCodes::test_killed_worker_is_internal_error"),
+        "Sweep workers are forked children",
+    ),
+    Mutant(  # an interrupted command keeps what it wrote
+        "cli.py",
+        "    except BaseException:\n        if made is not None:",
+        "    except Exception:\n        if made is not None:",
+        ("tests/test_cli.py::TestExitCodes::test_interrupted_generate_leaves_no_out[False]",
+         "tests/test_cli.py::TestExitCodes::test_interrupted_generate_leaves_no_out[True]"),
+        "One `--out` lifecycle",
+    ),
+    Mutant(  # build_graph hands the graph an index that grows on lookup
+        "graph.py",
+        "    index.default_factory = None\n",
+        "",
+        ("tests/test_graph.py::test_unknown_node_raises[build_graph]",),
+        "One label index",
+    ),
 )
 
 

@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -28,7 +29,7 @@ from gossipnet import (
     run_ensemble,
     summarize,
 )
-from gossipnet import cli, ingest
+from gossipnet import cli, generate, ingest
 from gossipnet.cli import _cell, _write_labels, build_parser, main
 from gossipnet.datasets import sample_network
 from gossipnet.generate import SUMMARY_FIELDS
@@ -275,7 +276,7 @@ class TestEntry:
         assert gc.get_freeze_count() == frozen
 
     def test_fresh_processes_sweep_byte_identical_across_workers(self, tmp_path):
-        # pool workers forked from a frozen parent, as the console script runs
+        # sweep workers forked from a frozen parent, as the console script runs
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         trees = []
         for workers in ("1", "2"):
@@ -445,6 +446,34 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "weight_mean 1e+308 and weight_stddev 0.0" in err and "float range" in err
+
+    def test_overflow_in_a_forked_worker_is_usage_error(self, tmp_path, capsys, forking):
+        # seed 0: realization 2, which the first of two workers runs, has a
+        # node of degree 3 whose strength 3 * 6e307 overflows
+        out = tmp_path / "new" / "s"
+        code = run("sweep", "--model", "ER", "--N", "4", "--p", "0.5", "--weight_stddev", "0",
+                   "--weight_mean", "6e307", "--seed", "0", "--realizations", "3",
+                   "--workers", "2", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "weight_mean 6e+307 and weight_stddev 0.0" in err and "float range" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_killed_worker_is_internal_error(self, tmp_path, capsys, monkeypatch, forking):
+        made = generate.realization
+
+        def killed(cfg, i):
+            if i == 1:
+                assert os.getpid() != forking  # never the test process
+                os.kill(os.getpid(), signal.SIGKILL)
+            return made(cfg, i)
+
+        monkeypatch.setattr(generate, "realization", killed)
+        code = run("sweep", "--model", "ER", "--N", "20", "--p", "0.2", "--realizations", "3",
+                   "--workers", "2", "--out", str(tmp_path / "s"))
+        assert code == 3
+        assert "(killed by SIGKILL)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command", ["analyze", "sweep"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,9 @@ from gossipnet import (
     summarize,
     victim_spread,
 )
+from gossipnet import generate
 from gossipnet.generate import (
+    ER_CHUNK,
     TRUNCATIONS,
     WEIGHT_FLOOR,
     _ba_edges,
@@ -270,6 +273,16 @@ def scalar_ba_edges(n, m0, m, rng):
     return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
+def rowwise_er_edges(n, p, rng):
+    """ER pairs one upper-triangle row per draw: the reference for the
+    chunked draw."""
+    rows = [np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)]
+    counts = [len(r) for r in rows]
+    return np.column_stack(
+        (np.repeat(np.arange(n - 1), counts), np.concatenate(rows, dtype=np.int64))
+    )
+
+
 class TestBatchDraws:
     """The batch draws take the same values from the same stream as the
     scalar loops they replaced."""
@@ -300,6 +313,72 @@ class TestBatchDraws:
             # the stream stays aligned after the top-up draws too
             assert a.integers(1 << 40) == b.integers(1 << 40)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64, ER_CHUNK])
+    def test_er_edges_equal_rowwise_draws(self, monkeypatch, chunk):
+        monkeypatch.setattr(generate, "ER_CHUNK", chunk)
+        for n in (2, 3, 50, 1000):
+            for p in (0.0, 0.02, 1.0):
+                for seed in range(5):
+                    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                    edges = _er_edges(n, p, a)
+                    assert edges.dtype == np.int64
+                    assert np.array_equal(edges, rowwise_er_edges(n, p, b))
+                    assert a.random() == b.random()
+
+
+def failing_at(monkeypatch, indices, fail):
+    """Make ``realization(cfg, i)`` call ``fail(i)`` first for each i in ``indices``."""
+    made = generate.realization
+
+    def realization(cfg, i):
+        if i in indices:
+            fail(i)
+        return made(cfg, i)
+
+    monkeypatch.setattr(generate, "realization", realization)
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize("failed, raised", [({1, 2}, 1), ({2, 3}, 2), ({0, 3}, 0)])
+    def test_lowest_failed_index_is_raised(self, monkeypatch, forking, failed, raised):
+        def fail(i):
+            raise ValueError(f"realization {i}")
+
+        failing_at(monkeypatch, failed, fail)
+        with pytest.raises(ValueError, match=f"^realization {raised}$"):
+            run_ensemble(ws(n=30, k=4, p=0.2, seed=13, realizations=4), workers=2)
+
+    def test_killed_child_names_the_signal(self, monkeypatch, forking):
+        def fail(i):
+            assert os.getpid() != forking  # never the test process
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        failing_at(monkeypatch, {1}, fail)
+        with pytest.raises(RuntimeError, match="ended without a result \\(killed by SIGKILL\\)"):
+            run_ensemble(ws(n=30, k=4, p=0.2, seed=13, realizations=4), workers=2)
+
+    def test_interrupted_child_interrupts_the_parent(self, monkeypatch, forking):
+        def fail(i):
+            raise KeyboardInterrupt
+
+        failing_at(monkeypatch, {3}, fail)
+        with pytest.raises(KeyboardInterrupt):
+            run_ensemble(ws(n=30, k=4, p=0.2, seed=13, realizations=4), workers=2)
+
+    def test_child_w_takes_every_other_realization_from_w(
+        self, monkeypatch, forking, tmp_path
+    ):
+        def record(i):
+            (tmp_path / str(i)).write_text(str(os.getpid()))
+
+        failing_at(monkeypatch, range(5), record)
+        cfg = er(n=30, p=0.15, seed=12, realizations=5)
+        forked = run_ensemble(cfg, workers=2)
+        pids = [int((tmp_path / str(i)).read_text()) for i in range(5)]
+        assert pids[0] == pids[2] == pids[4] != pids[1] == pids[3]
+        assert forked == run_ensemble(cfg, workers=1)
+        assert forking not in pids
+
 
 class TestEnsemble:
     def test_single_realization_means_equal_summary(self):
@@ -329,15 +408,22 @@ class TestEnsemble:
         assert a.mean == b.mean and a.std == b.std
         assert a.sigma_curve == b.sigma_curve
 
-    def test_process_pool_imported_only_when_used(self):
-        # a process that never starts a pool does not pay for importing one
+    def test_sweep_imports_no_process_pool(self, tmp_path):
+        # the workers are forked directly: no executor, no multiprocessing
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, gossipnet.cli; print('concurrent.futures.process' in sys.modules)"
+        code = (
+            "import sys\n"
+            "from gossipnet import cli\n"
+            "assert cli.main(['sweep', '--model', 'WS', '--N', '40', '--k', '4', '--p', '0.2',"
+            " '--realizations', '3', '--workers', '2', '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
         env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s")], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_workers_below_one_rejected(self):
         cfg = ws(n=30, k=4, p=0.2, seed=13, realizations=2)
