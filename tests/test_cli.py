@@ -406,6 +406,20 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
+    @pytest.mark.parametrize("missing", ["--model", "--N"])
+    def test_missing_required_flag_is_usage_error(self, tmp_path, capsys, command, missing):
+        # argparse refuses the command line; the config is never built
+        flags = {"--model": "ER", "--N": "10", "--p": "0.5"}
+        del flags[missing]
+        out = tmp_path / "d"
+        code = run(command, *(x for kv in flags.items() for x in kv), "--realizations", "1",
+                   "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"the following arguments are required: {missing}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
     @pytest.mark.parametrize(
         "flags,message",
         [

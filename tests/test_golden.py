@@ -395,3 +395,24 @@ def test_analyze_chunked_labels(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["analyze", "--input", str(src), "--out", str(out)]) == 0
     assert tree_digest(out) == GOLDEN["analyze_chunked_labels"]
+
+
+# `--help` of the top-level parser and of each subcommand, 80 columns wide,
+# recorded before the generator flags were built from GeneratorConfig's fields
+HELP = {
+    "gossipnet": "a60470c9d793433a514d4818365e6523b8003ecf36bfca129b4e8402d02ca545",
+    "analyze": "b909683fb09faac05309e2ec403d70e32d35ea39018b21838fc006352c03dd55",
+    "generate": "275751cbd2e8814dbd6224e971f137afda172319488fc800401d5154721a856f",
+    "sweep": "81b65e44dbef703d5e7833c6114f742b9e12dfcae3d9f66f18357e604e88a1bf",
+    "project": "953e57f60cc8e04de780dd85a57def2f1bb8926f60f7d89d3889c0f4d6cfb5b7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"] if command == "gossipnet" else [command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP[command], text
