@@ -22,7 +22,7 @@ import json
 import shutil
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Mapping
@@ -339,26 +339,12 @@ def _at_least_one(text: str) -> int:
 
 
 def _add_generator_flags(p: argparse.ArgumentParser, default_realizations: int) -> None:
-    # one flag per GeneratorConfig field; its class attributes hold the defaults
-    p.add_argument("--model", required=True, choices=generate.MODELS,
-                   help="generator family")
-    p.add_argument("--N", required=True, type=int, help="number of nodes")
-    p.add_argument("--p", type=float, default=None,
-                   help="ER connection probability / WS rewiring probability")
-    p.add_argument("--m0", type=int, default=None, help="BA seed clique size")
-    p.add_argument("--m", type=int, default=None, help="BA edges per new node")
-    p.add_argument("--k", type=int, default=None, help="WS ring degree (even)")
-    p.add_argument("--weight_mean", type=float, default=GeneratorConfig.weight_mean,
-                   help="mean of the per-node weight Gaussian (default %(default)s)")
-    p.add_argument("--weight_stddev", type=float, default=GeneratorConfig.weight_stddev,
-                   help="stddev of the per-node weight Gaussian (default %(default)s)")
-    p.add_argument("--weight_truncation", choices=generate.TRUNCATIONS,
-                   default=GeneratorConfig.weight_truncation,
-                   help="how to keep node weights positive (default %(default)s)")
-    p.add_argument("--seed", type=int, default=GeneratorConfig.seed,
-                   help="master seed (default %(default)s)")
-    p.add_argument("--realizations", type=int, default=default_realizations,
-                   help="number of realizations (default %(default)s)")
+    # one flag per GeneratorConfig field, with its value type, default, help and choices
+    for f in fields(GeneratorConfig):
+        required = f.default is MISSING
+        p.add_argument(f"--{f.name}", type=generate._value_type(f), required=required,
+                       default=None if required else f.default, **f.metadata)
+    p.set_defaults(realizations=default_realizations)
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:

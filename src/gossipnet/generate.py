@@ -21,13 +21,13 @@ import itertools
 import math
 import os
 import pickle
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from os import PathLike
 from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedGraph, _from_pairs, _mean_weighted
+from .graph import WeightedGraph, _from_pairs, _mean_weighted, _spans
 from .ingest import _data_lines
 from .metrics import (
     CurvePoint,
@@ -52,26 +52,36 @@ SUMMARY_FIELDS = tuple(f.name for f in fields(NetworkSummary)
                        if f.name not in ("n_leaf_victims", "k0_interior", "k0w_interior"))
 
 
+def _flag(help: str, default=MISSING, choices: tuple[str, ...] | None = None):
+    """A GeneratorConfig field with ``default``, and the ``help`` and
+    ``choices`` of its ``--<name>`` flag (see ``cli._add_generator_flags``)."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
+def _value_type(f: Field) -> type:
+    """The type of a GeneratorConfig field's config-file values and flag: the
+    first name in its annotation, as in "float | None"."""
+    return getattr(builtins, f.type.split()[0])
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Structural and weight parameters for one generator family.
+    """Structural and weight parameters for one generator family. Each field
+    is also a config-file key and a ``generate``/``sweep`` flag."""
 
-    ``p`` is the connection probability for ER and the rewiring probability
-    for WS; ``m0``/``m`` are the BA seed-clique size and edges per new node;
-    ``k`` is the (even) WS ring degree.
-    """
-
-    model: str
-    N: int
-    p: float | None = None
-    m0: int | None = None
-    m: int | None = None
-    k: int | None = None
-    weight_mean: float = 1.0
-    weight_stddev: float = 1.0
-    weight_truncation: str = "resample"
-    seed: int = 0
-    realizations: int = 50
+    model: str = _flag("generator family", choices=MODELS)
+    N: int = _flag("number of nodes")
+    p: float | None = _flag("ER connection probability / WS rewiring probability", None)
+    m0: int | None = _flag("BA seed clique size", None)
+    m: int | None = _flag("BA edges per new node", None)
+    k: int | None = _flag("WS ring degree (even)", None)
+    weight_mean: float = _flag("mean of the per-node weight Gaussian (default %(default)s)", 1.0)
+    weight_stddev: float = _flag(
+        "stddev of the per-node weight Gaussian (default %(default)s)", 1.0)
+    weight_truncation: str = _flag(
+        "how to keep node weights positive (default %(default)s)", "resample", TRUNCATIONS)
+    seed: int = _flag("master seed (default %(default)s)", 0)
+    realizations: int = _flag("number of realizations (default %(default)s)", 50)
 
     def validate(self) -> None:
         if self.model not in MODELS:
@@ -140,13 +150,10 @@ def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # a single draw over all pairs, in O(N + ER_CHUNK) memory. Pair t of the
     # flat order lies in the row whose start is the last one at or below t.
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    hits = []
-    i = 0
-    while i < n - 1:
-        j = max(i + 1, int(np.searchsorted(starts, starts[i] + ER_CHUNK, side="right")) - 1)
-        hits.append(np.flatnonzero(rng.random(starts[j] - starts[i]) < p) + starts[i])
-        i = j
-    flat = np.concatenate(hits)
+    flat = np.concatenate([
+        np.flatnonzero(rng.random(starts[b] - starts[a]) < p) + starts[a]
+        for a, b in _spans(np.diff(starts), ER_CHUNK)
+    ])
     rows = np.searchsorted(starts, flat, side="right") - 1
     return np.column_stack((rows, flat - starts[rows] + rows + 1))
 
@@ -446,8 +453,7 @@ def load_config(path: str | PathLike[str], **overrides) -> GeneratorConfig:
     Keyword overrides replace file values (e.g. ``seed=...`` for a new run).
     A repeated key or a malformed value raises ValueError naming its line.
     """
-    # each key's type: the first name in its field's annotation, "float | None"
-    kinds = {f.name: getattr(builtins, f.type.split()[0]) for f in fields(GeneratorConfig)}
+    kinds = {f.name: _value_type(f) for f in fields(GeneratorConfig)}
     kwargs: dict[str, object] = {}
     set_on: dict[str, int] = {}
     for lineno, line in _data_lines(path):

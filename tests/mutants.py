@@ -145,6 +145,34 @@ MUTANTS = (
         ("tests/test_graph.py::test_unknown_node_raises[build_graph]",),
         "One label index",
     ),
+    Mutant(  # a generator flag whose field has no default may be left out
+        "cli.py",
+        ", required=required,",
+        ",",
+        ("tests/test_cli.py::TestExitCodes::test_missing_required_flag_is_usage_error[--N-generate]",
+         "tests/test_cli.py::TestExitCodes::test_missing_required_flag_is_usage_error[--model-sweep]",
+         "tests/test_golden.py::test_help[generate]"),
+        "Generator flags are built from the fields of `GeneratorConfig`",
+    ),
+    Mutant(  # a degree-2 victim counted as one with no pair of friends
+        "metrics.py",
+        "pairs = k >= 2",
+        "pairs = k > 2",
+        ("tests/test_metrics.py::TestGlobalSpread::test_path_graph_leaf_victims_count_zero",
+         "tests/test_metrics.py::TestClustering::test_triangle",
+         "tests/test_acceptance.py::test_c04_les_miserables_reference_row",
+         "tests/test_golden.py::test_analyze_lesmis"),
+        "Generator flags are built from the fields of `GeneratorConfig`",
+    ),
+    Mutant(  # a global coefficient summed left to right instead of correctly rounded
+        "metrics.py",
+        "return math.fsum(grouped)",
+        "return sum(grouped)",
+        ("tests/test_acceptance.py::test_c06_fast_path_oracle_equivalence",
+         "tests/test_golden.py::test_analyze_lesmis",
+         "tests/test_golden.py::test_sweep_n200[ba]"),
+        "Generator flags are built from the fields of `GeneratorConfig`",
+    ),
 )
 
 
