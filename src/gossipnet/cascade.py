@@ -191,15 +191,15 @@ def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     n = g.node_count
     indices = g._indices
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(g._degree, kind="stable")] = np.arange(n)
-    keys = rows * n + indices
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.argsort(g._degree, kind="stable")] = np.arange(n, dtype=np.int32)
     out = np.flatnonzero(rank[indices] > rank[rows])  # slots x→y, y above x
     out_rows = rows[out]
     del rank
     # out-slots after each one in its row: the wedges it opens as x→y
     later = np.cumsum(np.bincount(out_rows, minlength=n))[out_rows] - 1 - np.arange(len(out))
     del out_rows
+    keys = rows * n + indices  # int64, as rows and indices are
 
     found = tuple([np.empty(0, dtype=np.int32)] for _ in range(3))
     for q0, q1 in _spans(later, WEDGE_CHUNK):

@@ -214,7 +214,7 @@ def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> Weig
     else:
         ends = _ws_edges(cfg.N, cfg.k, cfg.p, rng)
     # every pair once, weighing 1
-    return _from_pairs(dict(zip(range(cfg.N), range(cfg.N))), ends, np.ones(len(ends)))
+    return _from_pairs(tuple(range(cfg.N)), ends, np.ones(len(ends)))
 
 
 def _node_weights(cfg: GeneratorConfig, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ import operator
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,8 +31,9 @@ Label = Hashable
 #: of the analysis after the read.
 INTERN_CHUNK = 1 << 11
 
-#: Records ranked per batch when a graph merges its records. It bounds
-#: temporaries, never results.
+#: Records ranked per batch when a graph merges its records, and slot
+#: weights tested per slice for whole values. It bounds temporaries, never
+#: results.
 MERGE_CHUNK = 1 << 16
 
 
@@ -72,8 +73,9 @@ class Neighborhood:
 
 def _label_index() -> defaultdict:
     """Labels to dense indices in order of first appearance: looking up a
-    label not yet held adds it with the next index. A graph keeps the index
-    with its ``default_factory`` set to None, so it never grows again."""
+    label not yet held adds it with the next index. A builder uses it while
+    it interns labels, then hands the graph ``tuple(index)`` and drops it;
+    the graph makes its own lookup on first use (``WeightedGraph._lookup``)."""
     # not index.__len__: a method of the index would make a cycle, freed late
     return defaultdict(itertools.count().__next__)
 
@@ -110,7 +112,14 @@ def _row_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if filled.size:
         with np.errstate(over="ignore"):  # an overflowing row stays inf
             sums[filled] = np.add.reduceat(weights, indptr[filled])
-        fractional[filled] = np.logical_or.reduceat(weights != np.floor(weights), indptr[filled])
+        # the slots whose weight is not whole, tested one MERGE_CHUNK slice at
+        # a time: no float copy of every weight
+        not_whole = np.zeros(len(weights), dtype=bool)
+        for start in range(0, len(weights), MERGE_CHUNK):
+            part = weights[start:start + MERGE_CHUNK]
+            np.not_equal(part, np.floor(part), out=not_whole[start:start + MERGE_CHUNK])
+        fractional[filled] = np.logical_or.reduceat(not_whole, indptr[filled])
+        del not_whole
     inexact = (degree > 2) & (fractional | (sums >= 2.0**53))
     inexact &= np.isfinite(sums)
     rows = np.flatnonzero(inexact)
@@ -126,6 +135,11 @@ class WeightedGraph:
     Construct via :func:`build_graph`. A node strength past the float range
     raises OverflowError naming the node. Safe to share across threads or
     processes; all accessors are read-only and return Python numbers.
+
+    The graph holds its labels in index order. The first lookup of a label
+    (``index_of``, ``has_node`` and the accessors that take labels) builds
+    the label-to-index dict; concurrent first lookups are harmless, since
+    each builds an equal dict and one of them is kept.
     """
 
     __slots__ = ("_labels", "_index", "_indptr", "_indices", "_reverse", "_weights",
@@ -133,14 +147,14 @@ class WeightedGraph:
 
     def __init__(
         self,
-        index: dict[Label, int],
+        labels: Iterable[Label],
         indptr: np.ndarray,
         indices: np.ndarray,
         reverse: np.ndarray,
         weights: np.ndarray,
     ):
-        self._labels = tuple(index)
-        self._index = index
+        self._labels = tuple(labels)
+        self._index = None  # made by _lookup
         self._indptr = _frozen(indptr)
         self._indices = _frozen(indices)
         self._reverse = _frozen(reverse)  # slot u→v of each slot v→u, int32
@@ -171,13 +185,19 @@ class WeightedGraph:
 
     # -- node-level access --------------------------------------------------
 
+    def _lookup(self) -> dict[Label, int]:
+        """Labels to dense indices, made on the first call."""
+        if self._index is None:
+            self._index = dict(zip(self._labels, range(len(self._labels))))
+        return self._index
+
     def has_node(self, label: Label) -> bool:
-        return label in self._index
+        return label in self._lookup()
 
     def index_of(self, label: Label) -> int:
         """Dense 0-based index of a node (order of first appearance)."""
         try:
-            return self._index[label]
+            return self._lookup()[label]
         except KeyError:
             raise KeyError(f"unknown node id: {label!r}") from None
 
@@ -289,18 +309,20 @@ def build_graph(
         record_weights.append(w)
         ends.append(index[i_lab])
         ends.append(index[j_lab])
-    index.default_factory = None
+    labels = tuple(index)
+    del index
     return _from_pairs(
-        index,
+        labels,
         np.frombuffer(ends, dtype=np.int64).reshape(-1, 2),
         np.frombuffer(record_weights, dtype=np.float64),
     )
 
 
-def _from_pairs(index: dict[Label, int], ends: np.ndarray, weights: np.ndarray) -> WeightedGraph:
-    """The graph of validated records: ``ends`` holds the dense indices of
-    each record's two nodes, one row per record, ``weights`` its weight."""
-    return _from_keys(index, _pair_keys(ends[:, 0], ends[:, 1], len(index)), [weights])
+def _from_pairs(labels: Sequence[Label], ends: np.ndarray, weights: np.ndarray) -> WeightedGraph:
+    """The graph of validated records over ``labels``, in index order:
+    ``ends`` holds the dense indices of each record's two nodes, one row per
+    record, ``weights`` its weight."""
+    return _from_keys(labels, _pair_keys(ends[:, 0], ends[:, 1], len(labels)), [weights])
 
 
 def _pair_keys(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -312,10 +334,11 @@ def _pair_keys(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray | None = No
 
 
 def _from_keys(
-    index: dict[Label, int], keys: np.ndarray, weights: Iterable[np.ndarray]
+    labels: Sequence[Label], keys: np.ndarray, weights: Iterable[np.ndarray]
 ) -> WeightedGraph:
-    """The graph of validated records given as pair keys (see _pair_keys),
-    in record order, and their weights, in consecutive runs of records.
+    """The graph over ``labels``, in index order, of validated records given
+    as pair keys (see _pair_keys), in record order, and their weights, in
+    consecutive runs of records.
 
     Records of one pair merge by summing their weights in record order; a
     sum past the float range raises OverflowError naming the pair.
@@ -325,7 +348,7 @@ def _from_keys(
     record, one batch's or one run's temporaries and arrays of the graph's
     size are held at a time.
     """
-    n = len(index)
+    n = len(labels)
     # each record's pair is the rank of its key among the distinct keys; one
     # sort, walked in batches, overwrites each key with that rank
     order = np.argsort(keys)
@@ -352,7 +375,6 @@ def _from_keys(
     del keys
     over = np.flatnonzero(~np.isfinite(merged))
     if over.size:
-        labels = list(index)
         a, b = divmod(int(pair_keys[over[0]]), n)
         raise OverflowError(f"edge {labels[a]!r} {labels[b]!r}: weight past the float range")
 
@@ -383,7 +405,7 @@ def _from_keys(
     order %= max(2 * m, 1)
     reverse = slot_of[order]
     del slot_of, order
-    return WeightedGraph(index, indptr, indices, reverse, slot_weights)
+    return WeightedGraph(labels, indptr, indices, reverse, slot_weights)
 
 
 def _mean_weighted(g: WeightedGraph, values: np.ndarray) -> WeightedGraph:
@@ -393,7 +415,7 @@ def _mean_weighted(g: WeightedGraph, values: np.ndarray) -> WeightedGraph:
     rows = np.repeat(np.arange(g.node_count), g._degree)
     with np.errstate(over="ignore"):  # the graph refuses the strengths then
         weights = 0.5 * (values[rows] + values[g._indices])
-    return WeightedGraph(g._index, g._indptr, g._indices, g._reverse, weights)
+    return WeightedGraph(g._labels, g._indptr, g._indices, g._reverse, weights)
 
 
 def _local_index(g: WeightedGraph, v_idx: int) -> tuple[list[int], list[list[int]]]:

@@ -80,8 +80,9 @@ def parse_edge_list(path: str | PathLike[str], sep: str = "auto") -> WeightedGra
     ends, weights = _read_blocks(
         path, sep, 3, lambda tokens: _fast_edges(tokens, index), _check_edge
     )
-    index.default_factory = None
-    return _from_pairs(index, ends.reshape(-1, 2), weights)
+    labels = tuple(index)
+    del index
+    return _from_pairs(labels, ends.reshape(-1, 2), weights)
 
 
 def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray]:
@@ -323,14 +324,13 @@ def _project(events: _Events, increment) -> WeightedGraph:
     # every member is a node, lone ones too
     group_weights = [increment(n) if n > 1 else 0.0 for n in sizes.tolist()]
     row_weights = np.repeat(np.array(group_weights, dtype=np.float64), sizes)
-    index = dict(zip(labels, itertools.count()))
     # the member at position i pairs with each of the later[i] members after it
     starts = np.cumsum(sizes) - sizes
     later = np.repeat(sizes + starts, sizes) - 1 - np.arange(len(member_ids))
     spans = _spans(later, PAIR_CHUNK)
     # a pair weighs its group's weight, once per pair of its member's row
     runs = (np.repeat(row_weights[r0:r1], later[r0:r1]) for r0, r1 in spans)
-    return _from_keys(index, _group_pairs(member_ids, later, spans, len(index)), runs)
+    return _from_keys(labels, _group_pairs(member_ids, later, spans, len(labels)), runs)
 
 
 def _group_pairs(

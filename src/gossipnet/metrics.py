@@ -99,7 +99,8 @@ class NetworkAnalysis:
 
 def _row_totals(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Sum of ``values`` over each CSR row."""
-    totals = np.concatenate(([0], np.cumsum(values)))
+    totals = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, dtype=np.int64, out=totals[1:])
     return totals[indptr[1:]] - totals[indptr[:-1]]
 
 

@@ -82,12 +82,22 @@ MUTANTS = (
          "tests/test_golden.py::test_analyze_lesmis"),
         "One reachability rule for both spread models",
     ),
-    Mutant(  # the edge-list reader hands the graph an index that grows on lookup
-        "ingest.py",
-        "    index.default_factory = None\n    return _from_pairs(index, ends.reshape(-1, 2), weights)",
-        "    return _from_pairs(index, ends.reshape(-1, 2), weights)",
-        ("tests/test_graph.py::test_unknown_node_raises[parse_edge_list]",),
-        "One label index",
+    Mutant(  # a graph's lookup adds a label on a miss
+        "graph.py",
+        "self._index = dict(zip(self._labels, range(len(self._labels))))",
+        "self._index = defaultdict(itertools.count(len(self._labels)).__next__,"
+        " zip(self._labels, range(len(self._labels))))",
+        ("tests/test_graph.py::test_unknown_node_raises[build_graph]",
+         "tests/test_graph.py::test_unknown_node_raises[parse_edge_list]"),
+        "A graph holds its labels, not a lookup dict",
+    ),
+    Mutant(  # a graph's lookup puts every label one index late
+        "graph.py",
+        "self._index = dict(zip(self._labels, range(len(self._labels))))",
+        "self._index = dict(zip(self._labels, range(1, len(self._labels) + 1)))",
+        ("tests/test_graph.py::test_unknown_node_raises[build_graph]",
+         "tests/test_graph.py::test_unknown_node_raises[parse_edge_list]"),
+        "A graph holds its labels, not a lookup dict",
     ),
     Mutant(  # strengths summed left to right instead of correctly rounded
         "graph.py",
@@ -138,13 +148,6 @@ MUTANTS = (
          "tests/test_cli.py::TestExitCodes::test_interrupted_generate_leaves_no_out[True]"),
         "One `--out` lifecycle",
     ),
-    Mutant(  # build_graph hands the graph an index that grows on lookup
-        "graph.py",
-        "    index.default_factory = None\n",
-        "",
-        ("tests/test_graph.py::test_unknown_node_raises[build_graph]",),
-        "One label index",
-    ),
     Mutant(  # a generator flag whose field has no default may be left out
         "cli.py",
         ", required=required,",
@@ -172,6 +175,22 @@ MUTANTS = (
          "tests/test_golden.py::test_analyze_lesmis",
          "tests/test_golden.py::test_sweep_n200[ba]"),
         "Generator flags are built from the fields of `GeneratorConfig`",
+    ),
+    Mutant(  # the triangle listing's slot keys row * N + col wrap in int32
+        "cascade.py",
+        "keys = rows * n + indices  # int64, as rows and indices are",
+        "keys = rows.astype(np.int32) * n + indices",
+        ("tests/test_networkx_oracle.py::test_slot_keys_past_the_int32_range",),
+        "A graph holds its labels, not a lookup dict",
+    ),
+    Mutant(  # the strengths' whole-weight test skips its last slice of slots
+        "graph.py",
+        "for start in range(0, len(weights), MERGE_CHUNK):",
+        "for start in range(0, len(weights) - MERGE_CHUNK, MERGE_CHUNK):",
+        ("tests/test_graph.py::test_whole_weights_are_tested_in_chunks[2]",
+         "tests/test_graph.py::test_whole_weights_are_tested_in_chunks[3]",
+         "tests/test_graph.py::test_whole_weights_are_tested_in_chunks[4]"),
+        "A graph holds its labels, not a lookup dict",
     ),
 )
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -98,14 +100,44 @@ def test_unknown_node_raises(tmp_path, builder):
     else:
         (tmp_path / "g.edges").write_text("a b 1\n", encoding="utf-8")
         g = parse_edge_list(tmp_path / "g.edges")
-    # the index the graph keeps gives no new index on lookup
-    assert g._index.default_factory is None
+    # each lookup's index or KeyError message: a failed lookup changes
+    # neither the node count nor the result of a later lookup
+    found = []
+    for label in ("zzz", "b", "zzz"):
+        try:
+            found.append(g.index_of(label))
+        except KeyError as e:
+            found.append(e.args[0])
+    assert found == ["unknown node id: 'zzz'", 1, "unknown node id: 'zzz'"]
+    assert g.node_count == 2 and not g.has_node("zzz")
+    assert [g.index_of(x) for x in g.labels] == list(range(g.node_count))
     with pytest.raises(KeyError, match="unknown node"):
         g.degree("zzz")
-    # a failed lookup does not add the label to the graph's index
-    assert (g.node_count, len(g._index)) == (2, 2)
     with pytest.raises(KeyError, match="no edge"):
         g.weight("a", "a")
+
+
+def test_concurrent_first_lookups_agree():
+    # eight threads make the graph's first lookups at once, switching often
+    g = build_graph([(f"n{i}", f"n{i + 1}", 1.0) for i in range(3000)])
+    expected = list(range(g.node_count))
+    found = [None] * 8
+
+    def look(t):
+        found[t] = [g.index_of(x) for x in g.labels]
+
+    threads = [threading.Thread(target=look, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == [expected] * 8
 
 
 def test_profile_mean_weight_thresholds():
@@ -247,6 +279,16 @@ def test_strengths_are_fsum_of_mixed_rows():
     g = build_graph(records)
     for v in g.labels:
         assert g.strength(v) == math.fsum(w for _, w in g.neighbors(v))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 1 << 16])
+def test_whole_weights_are_tested_in_chunks(monkeypatch, chunk):
+    # the last node's only fractional weights sit in the graph's last two
+    # slots, and numpy's plain sum of its row differs from fsum
+    monkeypatch.setattr(graph, "MERGE_CHUNK", chunk)
+    g = build_graph([("x", "z", 1.0), ("p", "z", 0.1), ("q", "z", 0.7)], nodes="xpqz")
+    assert np.add.reduceat(np.array([1.0, 0.1, 0.7]), [0])[0] != math.fsum([1.0, 0.1, 0.7])
+    assert g.strength("z") == math.fsum([1.0, 0.1, 0.7])
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -122,6 +122,23 @@ class TestParseEdgeList:
         assert g.edge_count > 99_900
         assert peak - held < 100 * g.edge_count
 
+    def test_graph_holds_no_label_index(self, tmp_path):
+        # a seeded, triangle-poor list of 30 000 edges over 19 069 labels: the
+        # reader drops its interning dict, and the graph makes no lookup
+        # until one is asked for. Python 3.11, numpy 2.4: 2.85 MB held and a
+        # 5.19 MB peak; 3.79 and 6.13 MB when the graph kept the dict
+        rng = np.random.default_rng(7)
+        a, b = rng.integers(0, 20_000, size=(2, 33_000))
+        keep = a != b
+        a, b = a[keep][:30_000], b[keep][:30_000]
+        w = rng.integers(1, 6, size=30_000)
+        p = tmp_path / "sparse.edges"
+        p.write_text("".join(map("n{} n{} {}\n".format, a.tolist(), b.tolist(), w.tolist())))
+        g, held, peak = traced(lambda: parse_edge_list(p))
+        assert (g.node_count, g.edge_count) == (19_069, 30_000)
+        assert held < 3_300_000
+        assert peak < 5_650_000
+
 
 def reference_records(path, sep: str = "auto") -> list[tuple[str, str, float]]:
     """The records of an edge list read one line at a time: the reader's

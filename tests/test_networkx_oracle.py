@@ -3,9 +3,16 @@ Les Miserables network, per-node triangle counts and average clustering."""
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
-from gossipnet import GeneratorConfig, WeightedGraph, induced_neighborhood, realization, summarize
+from gossipnet import (
+    GeneratorConfig, WeightedGraph, analyze_network, build_graph, induced_neighborhood,
+    realization, summarize,
+)
+from gossipnet.cascade import _slot_counts
 from gossipnet.datasets import bundled_config
 
 nx = pytest.importorskip("networkx")
@@ -56,3 +63,24 @@ def test_generated_realization(name):
 def test_generated_realization_m1e5():
     cfg = GeneratorConfig(model="WS", N=10_000, k=20, p=0.1)
     assert_structure_matches(realization(cfg, 0))
+
+
+def test_slot_keys_past_the_int32_range():
+    # 50 000 nodes, so the slot key row * N + col of a high row passes 2**31;
+    # a few triangles among the highest indices, every other node isolated
+    n = 50_000
+    assert (n - 1) * n > 2**31
+    rng = np.random.default_rng(46_341)
+    top = range(n - 12, n)
+    records = [(a, b, float(rng.integers(1, 6)))
+               for a, b in itertools.combinations(top, 2) if rng.random() < 0.5]
+    g = build_graph(records, nodes=range(n))
+    h = to_networkx(g)
+    triangles = nx.triangles(h)
+    assert sum(triangles.values()) > 0
+    assert _slot_counts(g, True, True)[0].tolist() == [triangles[v] for v in g.labels]
+    analysis = analyze_network(g)
+    assert analysis.summary.cc == pytest.approx(nx.average_clustering(h), rel=0, abs=1e-12)
+    # isolated nodes are no victims: the spread is that of the top nodes alone
+    alone = analyze_network(build_graph(records, nodes=top))
+    assert (analysis.sigma_curve, analysis.beta_curve) == (alone.sigma_curve, alone.beta_curve)
