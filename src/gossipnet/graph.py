@@ -73,9 +73,10 @@ class Neighborhood:
 
 def _label_index() -> defaultdict:
     """Labels to dense indices in order of first appearance: looking up a
-    label not yet held adds it with the next index. A builder uses it while
-    it interns labels, then hands the graph ``tuple(index)`` and drops it;
-    the graph makes its own lookup on first use (``WeightedGraph._lookup``)."""
+    label not yet held adds it with the next index. ``build_graph`` and the
+    readers intern labels in it, then hand the graph ``tuple(index)`` and
+    drop it; the graph makes its own lookup on first use
+    (``WeightedGraph._lookup``)."""
     # not index.__len__: a method of the index would make a cycle, freed late
     return defaultdict(itertools.count().__next__)
 
