@@ -219,13 +219,10 @@ def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(cycle)
 
 
-def _slot_counts(
-    g: WeightedGraph, run_u: bool, run_w: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _slot_counts(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Triangles through each node, and the knower count of the originator
-    of every slot, in the base and in the weighted model (None for a model
-    not run), from one triangle listing and one component pass per block of
-    whole victims.
+    of every slot in the base and in the weighted model, from one triangle
+    listing and one component pass per block of whole victims.
 
     Each triangle (x, y, z) is one local edge in each of N(x), N(y) and
     N(z): in N(x) it joins x→y and x→z, in N(y) y→z and y→x, in N(z) z→x
@@ -237,8 +234,8 @@ def _slot_counts(
     cycle = _triangles(g, rows)
     triangles = sum(np.bincount(rows[slots], minlength=n) for slots in cycle)
     del rows
-    n_per = np.empty(len(reverse), dtype=np.int32) if run_u else None
-    m_per = np.empty(len(reverse), dtype=np.int32) if run_w else None
+    n_per = np.empty(len(reverse), dtype=np.int32)
+    m_per = np.empty(len(reverse), dtype=np.int32)
     families = [(cycle[i], cycle[i - 1]) for i in range(3)]
     cost = g._degree + triangles  # slots plus local edges of each victim
     for v0, v1 in _spans(cost, max(BLOCK_SIZE, -(-int(cost.sum()) // MAX_BLOCKS))):
@@ -249,29 +246,27 @@ def _slot_counts(
             a_parts.append(own[inside] - s0)
             b_parts.append(reverse[before[inside]] - s0)
         a, b = np.concatenate(a_parts), np.concatenate(b_parts)
-        if run_u:
-            n_per[s0:s1] = _reach_counts(a, b, np.ones(s1 - s0, dtype=bool))
-        if run_w:
-            # the far end u of slot v→u forwards unless v is its close friend:
-            # w(u, v) * degree(u) > strength(u)
-            u = g._indices[s0:s1]
+        n_per[s0:s1] = _reach_counts(a, b, np.ones(s1 - s0, dtype=bool))
+        # the far end u of slot v→u forwards unless v is its close friend:
+        # w(u, v) * degree(u) > strength(u); a product past the float range
+        # is inf, and inf > strength(u) is then the exact answer
+        u = g._indices[s0:s1]
+        with np.errstate(over="ignore"):
             fwd = ~(g._weights[s0:s1] * g._degree[u] > g._strength[u])
-            m_per[s0:s1] = _reach_counts(a, b, fwd)
+        m_per[s0:s1] = _reach_counts(a, b, fwd)
     return triangles, n_per, m_per
 
 
-def _require_neighbor(g: WeightedGraph, v: Label, r: Label) -> tuple[int, int]:
-    if not g.has_edge(v, r):
-        raise ValueError(f"originator {r!r} is not a neighbor of victim {v!r}")
-    return g.index_of(v), g.index_of(r)
-
-
 def _cascade(g: WeightedGraph, v: Label, r: Label, weighted: bool) -> CascadeResult:
-    v_idx, r_idx = _require_neighbor(g, v, r)
+    v_idx, r_idx = g.index_of(v), g.index_of(r)
     nbrs, ladj = _local_index(g, v_idx)
+    try:
+        start = nbrs.index(r_idx)
+    except ValueError:
+        raise ValueError(f"originator {r!r} is not a neighbor of victim {v!r}") from None
     if weighted:
         ladj = _forwards(g, v_idx, nbrs, ladj)
-    dist, tau = _bfs(ladj, nbrs.index(r_idx))
+    dist, tau = _bfs(ladj, start)
     knowers = frozenset(g.label_of(nbrs[i]) for i in dist)
     return CascadeResult(
         victim=v,

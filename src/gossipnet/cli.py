@@ -235,10 +235,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    cfg = GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(GeneratorConfig)})
     with _blamed(_UsageError, ValueError):
-        cfg.validate()
-    return cfg
+        return GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(GeneratorConfig)})
 
 
 def _weights_in_range(cfg: GeneratorConfig):

@@ -21,7 +21,7 @@ import itertools
 import math
 import os
 import pickle
-from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields
 from os import PathLike
 from typing import Callable
 
@@ -67,7 +67,8 @@ def _value_type(f: Field) -> type:
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Structural and weight parameters for one generator family. Each field
-    is also a config-file key and a ``generate``/``sweep`` flag."""
+    is also a config-file key and a ``generate``/``sweep`` flag. Construction
+    runs :meth:`validate`, so every config that exists is valid."""
 
     model: str = _flag("generator family", choices=MODELS)
     N: int = _flag("number of nodes")
@@ -83,13 +84,15 @@ class GeneratorConfig:
     seed: int = _flag("master seed (default %(default)s)", 0)
     realizations: int = _flag("number of realizations (default %(default)s)", 50)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.N < 2:
             raise ValueError(f"N must be at least 2, got {self.N}")
-        if self.realizations < 1:
-            raise ValueError(f"realizations must be positive, got {self.realizations}")
+        _at_least_one(self.realizations, "realizations")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.weight_mean) and math.isfinite(self.weight_stddev)):
@@ -205,7 +208,6 @@ def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> Weig
     Deterministic in (cfg.seed, realization_index); nodes are labeled
     0 .. N-1 and kept even when isolated.
     """
-    cfg.validate()
     rng = _stream(cfg, realization_index, "structure")
     if cfg.model == "ER":
         ends = _er_edges(cfg.N, cfg.p, rng)
@@ -383,7 +385,6 @@ def run_ensemble(
     ValueError for ``min_samples`` or ``workers`` < 1, and a failed
     realization's exception, the lowest index's when several fail.
     """
-    cfg.validate()
     _at_least_one(min_samples, "min_samples")
     pool_size = _pool_size(workers, cfg.realizations)
 
@@ -448,7 +449,7 @@ def save_config(cfg: GeneratorConfig, path: str | PathLike[str]) -> None:
 
 
 def load_config(path: str | PathLike[str], **overrides) -> GeneratorConfig:
-    """Read a ``key = value`` config file ('#' comments allowed) and validate.
+    """Read a ``key = value`` config file ('#' comments allowed) into a config.
 
     Keyword overrides replace file values (e.g. ``seed=...`` for a new run).
     A repeated key or a malformed value raises ValueError naming its line.
@@ -473,6 +474,4 @@ def load_config(path: str | PathLike[str], **overrides) -> GeneratorConfig:
             ) from None
     if "model" not in kwargs or "N" not in kwargs:
         raise ValueError(f"{path}: config must set at least 'model' and 'N'")
-    cfg = replace(GeneratorConfig(**kwargs), **overrides)
-    cfg.validate()
-    return cfg
+    return GeneratorConfig(**{**kwargs, **overrides})

@@ -127,8 +127,8 @@ def _curve(k: np.ndarray, values: np.ndarray) -> tuple[float, DegreeCurve]:
 
 def _at_least_one(value: int, name: str = "") -> int:
     """``value``, or ValueError (naming ``name``) when it is below 1: the one
-    bound of the counts ``min_samples`` and ``workers``, in the library and
-    in the CLI."""
+    bound of the counts ``min_samples``, ``workers`` and ``realizations``, in
+    the library and in the CLI."""
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}".lstrip())
     return value
@@ -170,15 +170,16 @@ def _ratio(num: float | None, den: float | None) -> float | None:
 def analyze_network(
     g: WeightedGraph, model: str = "both", min_samples: int = 1
 ) -> NetworkAnalysis:
-    """Run the selected model(s) over every victim and aggregate everything.
+    """Report the selected model(s) over every victim and aggregate everything.
 
-    One pass computes the global spread factors, the per-degree spread and
-    clustering curves, the critical degrees of both models (subject to
-    ``min_samples``, at least 1), and the coefficient ratios.
+    One pass counts both models and computes the global spread factors, the
+    per-degree spread and clustering curves, the critical degrees of both
+    models (subject to ``min_samples``, at least 1), and the coefficient
+    ratios; ``model`` only picks which of them are reported.
     """
     _at_least_one(min_samples, "min_samples")
     run_u, run_w = _models(model)
-    triangles, n_per, m_per = _slot_counts(g, run_u, run_w)
+    triangles, n_per, m_per = _slot_counts(g)
     k = g._degree
     n_isolated = int(np.count_nonzero(k == 0))
     n_leaf = int(np.count_nonzero(k == 1))

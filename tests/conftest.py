@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from gossipnet import WeightedGraph, build_graph
+from gossipnet import VictimSpread, WeightedGraph, build_graph, victim_spread
 from gossipnet.cascade import _slot_counts
 from gossipnet.datasets import les_miserables, sample_network
 
@@ -56,9 +56,23 @@ def random_bipartite_graph(rng: np.random.Generator) -> WeightedGraph:
 
 def whole_graph_counts(g: WeightedGraph) -> dict[tuple, tuple[int, int]]:
     """(victim, originator) -> (n_vr, m_vr) from one whole-graph kernel pass."""
-    _, n_per, m_per = _slot_counts(g, True, True)
+    _, n_per, m_per = _slot_counts(g)
     slots = [(v, r) for v in g.labels for r, _ in g.neighbors(v)]
     return dict(zip(slots, zip(n_per.tolist(), m_per.tolist())))
+
+
+def assert_kernel_matches_oracle(g: WeightedGraph, victims=None) -> list[VictimSpread]:
+    """Per slot of each of ``victims`` (every node when None), the kernel's
+    spread in both models equals the per-originator BFS oracle's, exactly.
+    Returns the oracle's spread of each victim."""
+    counts = whole_graph_counts(g)
+    assert len(counts) == 2 * g.edge_count
+    spreads = [victim_spread(g, v) for v in (g.labels if victims is None else victims)]
+    for spread in spreads:
+        for o in spread.per_originator:
+            n, m = counts[spread.victim, o.originator]
+            assert (n / spread.degree, m / spread.degree) == (o.sigma, o.beta)
+    return spreads
 
 
 def assert_same_graph(g: WeightedGraph, h: WeightedGraph) -> None:

@@ -6,7 +6,10 @@ the opening words of the CHANGES.md entry that recorded the check. The
 runner applies each row to a temporary copy of ``src/`` and runs only the
 row's tests against that copy. A row holds when pytest exits 1 and every
 named test fails by assertion. A missing or repeated snippet fails the run,
-so a refactor that moves the code must update its row.
+so a refactor that moves the code must update its row. A named test must
+catch its row on every run: a property test that finds the fault only in
+some of its random examples is no canary. Each row gets an empty hypothesis
+example database, so a failure that one run saved is not replayed by the next.
 
 The file is not collected by pytest. Run it from anywhere:
 
@@ -41,7 +44,7 @@ MUTANTS = (
         "fwd = ~(g._weights[s0:s1] * g._degree[u] > g._strength[u])",
         "fwd = ~(g._weights[s0:s1] * g._degree[u] >= g._strength[u])",
         ("tests/test_scale.py::test_kernel_equals_oracle_with_tied_weights",
-         "tests/test_cascade.py::test_kernel_matches_oracle_with_weight_ties",
+         "tests/test_cascade.py::test_kernel_matches_oracle_on_wheels[5]",
          "tests/test_golden.py::test_analyze_lesmis"),
         "One per-victim path, the BFS oracle",
     ),
@@ -51,7 +54,7 @@ MUTANTS = (
         "reach += np.bincount(pairs // n, minlength=n)",
         ("tests/test_scale.py::test_weighted_model_never_reaches_more_per_slot",
          "tests/test_scale.py::test_kernel_equals_oracle_on_a_sample",
-         "tests/test_cascade.py::test_kernel_matches_oracle_with_weight_ties"),
+         "tests/test_acceptance.py::test_c06_fast_path_oracle_equivalence"),
         "One builder per result",
     ),
     Mutant(  # the oracle's close-friend rule: a tie on the threshold goes quiet
@@ -60,7 +63,7 @@ MUTANTS = (
         "[] if w * k >= s else row",
         ("tests/test_cascade.py::TestWeightedCascade::test_uniform_triangle_everyone_forwards",
          "tests/test_acceptance.py::test_c07_uniform_weight_reduction[1.0]",
-         "tests/test_cascade.py::test_kernel_matches_oracle_with_weight_ties"),
+         "tests/test_cascade.py::test_kernel_matches_oracle_on_wheels[5]"),
         "One reachability rule for both spread models",
     ),
     Mutant(  # the oracle lets a quiet neighbor forward
@@ -192,6 +195,95 @@ MUTANTS = (
          "tests/test_graph.py::test_whole_weights_are_tested_in_chunks[4]"),
         "A graph holds its labels, not a lookup dict",
     ),
+    Mutant(  # the writer lets a label start with "#" or U+FEFF
+        "ingest.py",
+        ' and text[0] not in "#\\ufeff"',
+        "",
+        ("tests/test_cli.py::TestProject::test_labels_unreadable_as_edge_list_are_input_errors[#x]",
+         "tests/test_cli.py::TestProject::test_labels_unreadable_as_edge_list_are_input_errors"
+         "[\\ufeffa]",
+         "tests/test_ingest.py::TestWriteEdgeList::test_every_written_file_reads_back"),
+        "One reachability rule for both spread models",
+    ),
+    Mutant(  # the writer prints two labels as one text
+        "ingest.py",
+        "            if u != v:\n                raise ValueError(",
+        "            if False:\n                raise ValueError(",
+        ("tests/test_ingest.py::TestWriteEdgeList::"
+         "test_labels_alike_in_text_never_merge_on_reading_back[1]",
+         "tests/test_ingest.py::TestWriteEdgeList::"
+         "test_labels_alike_in_text_never_merge_on_reading_back[2.5]"),
+        "Edge lists are read in blocks straight into one numpy graph constructor",
+    ),
+    Mutant(  # the reader's line numbers fall one behind per block
+        "ingest.py",
+        'lineno += block.count("\\n")',
+        'lineno += block.count("\\n") - 1',
+        ("tests/test_ingest.py::TestBlockReader::test_lines_end_after_newline_only[\\x0c-0-40]",
+         "tests/test_ingest.py::TestEventReader::test_same_error_as_line_reader[g-150-40]"),
+        "Edge-list and label text read and written at C speed",
+    ),
+    Mutant(  # the line check lets a self-loop through
+        "ingest.py",
+        "    if a == b:\n        raise EdgeListError",
+        "    if False:\n        raise EdgeListError",
+        ("tests/test_cli.py::TestAnalyze::test_self_loop_is_input_error[whitespace]",
+         "tests/test_cli.py::TestAnalyze::test_self_loop_is_input_error[comma]"),
+        "Edge lists are read in blocks straight into one numpy graph constructor",
+    ),
+    Mutant(  # an input file that cannot be opened is an internal error
+        "cli.py",
+        "_READ_ERRORS = (EdgeListError, OSError, UnicodeDecodeError)",
+        "_READ_ERRORS = (EdgeListError, UnicodeDecodeError)",
+        ("tests/test_cli.py::TestAnalyze::test_missing_input_is_input_error",
+         "tests/test_cli.py::TestExitCodes::test_input_error_makes_no_out[analyze-a]",
+         "tests/test_cli.py::TestExitCodes::test_input_error_makes_no_out[project-b/x.edges]"),
+        "One `--out` lifecycle",
+    ),
+    Mutant(  # an output file recorded before its open, so a refused one is removed
+        "cli.py",
+        '        with _blamed(_UsageError, OSError, "--out: cannot write: "):\n'
+        '            fh = open(p, "w", encoding="utf-8", newline="")\n'
+        "        written.append(p)\n",
+        "        written.append(p)\n"
+        '        with _blamed(_UsageError, OSError, "--out: cannot write: "):\n'
+        '            fh = open(p, "w", encoding="utf-8", newline="")\n',
+        ("tests/test_cli.py::TestExitCodes::test_unopenable_existing_output_is_kept",),
+        "Review fix for the `--out` lifecycle",
+    ),
+    Mutant(  # a config made without its checks
+        "generate.py",
+        "    def __post_init__(self) -> None:\n        self.validate()\n",
+        "",
+        ("tests/test_cli.py::TestExitCodes::test_negative_seed_is_usage_error[generate]",
+         "tests/test_cli.py::TestExitCodes::test_hopeless_weight_distribution_is_usage_error[sweep]",
+         "tests/test_cli.py::TestExitCodes::"
+         "test_invalid_generator_parameters_are_usage_errors[nan_mean-generate]"),
+        "Each choice settled once",
+    ),
+    Mutant(  # --model unweighted reports the weighted model too
+        "metrics.py",
+        "beta, beta_curve = spread(m_per) if run_w else (None, None)",
+        "beta, beta_curve = spread(m_per)",
+        ("tests/test_metrics.py::TestSummarize::test_one_model_is_its_side_of_both[unweighted]",
+         "tests/test_metrics.py::TestGlobalSpread::test_model_selection",
+         "tests/test_cli.py::TestAnalyze::test_unweighted_model_leaves_beta_cells_empty"),
+        "Each choice settled once",
+    ),
+    Mutant(  # an originator outside the victim's neighborhood fails with list.index's message
+        "cascade.py",
+        "    except ValueError:\n        raise ValueError(f\"originator",
+        "    except IndexError:\n        raise ValueError(f\"originator",
+        ("tests/test_cascade.py::TestUnweightedCascade::test_originator_must_be_neighbor",),
+        "Each choice settled once",
+    ),
+    Mutant(  # the forwarding mask warns when its product passes the float range
+        "cascade.py",
+        'with np.errstate(over="ignore"):',
+        "with np.errstate():",
+        ("tests/test_cascade.py::test_forwarding_mask_past_the_float_range",),
+        "Each choice settled once",
+    ),
 )
 
 
@@ -209,11 +301,13 @@ def check(m: Mutant, tmp: Path) -> str | None:
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--tb=no", "-rf", "-o", f"pythonpath={src}", *m.tests],
-        cwd=ROOT, capture_output=True, text=True, env=dict(os.environ, COLUMNS="10000"),
+        cwd=ROOT, capture_output=True, text=True,
+        env=dict(os.environ, COLUMNS="10000", HYPOTHESIS_STORAGE_DIRECTORY=str(tmp / "hypothesis")),
     )
     if proc.returncode != 1:
         return f"pytest exited {proc.returncode}, not 1:\n{proc.stdout}{proc.stderr}"
-    failed = dict(re.findall(r"^FAILED (\S+) - (.*)$", proc.stdout, re.M))
+    # a test id may hold spaces, as in test_same_error_as_line_reader[a b-150-40]
+    failed = dict(re.findall(r"^FAILED (.+?) - (.*)$", proc.stdout, re.M))
     for test in m.tests:
         if not failed.get(test, "").startswith(("assert", "AssertionError")):
             return f"{test} did not fail by assertion: {failed.get(test, 'it passed')}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gossipnet import (
 )
 from gossipnet.cascade import _components
 
-from .conftest import random_weighted_graph, whole_graph_counts
+from .conftest import assert_kernel_matches_oracle, random_weighted_graph, whole_graph_counts
 
 
 def asymmetric_pair():
@@ -86,6 +87,12 @@ class TestUnweightedCascade:
             cascade_unweighted(sample9, "v", "v")
         with pytest.raises(ValueError, match="not a neighbor"):
             cascade_weighted(sample9, "g", "f")
+
+    @pytest.mark.parametrize("cascade_fn", [cascade_unweighted, cascade_weighted])
+    def test_unknown_victim_is_named_before_the_originator(self, sample9, cascade_fn):
+        for v, r, unknown in [("zz", "yy", "zz"), ("zz", "g", "zz"), ("v", "yy", "yy")]:
+            with pytest.raises(KeyError, match=f"unknown node id: '{unknown}'"):
+                cascade_fn(sample9, v, r)
 
     def test_spreading_time_zero_iff_alone(self, corpus):
         for g in corpus[:10]:
@@ -162,17 +169,6 @@ class TestVictimSpread:
                 vs = victim_spread(g, v)
                 for o in vs.per_originator:
                     assert 1 / k <= o.beta <= o.sigma <= 1.0
-
-
-def assert_kernel_matches_oracle(g):
-    # per slot from one whole-graph pass, both models
-    counts = whole_graph_counts(g)
-    assert len(counts) == 2 * g.edge_count
-    for v in g.labels:
-        naive = victim_spread(g, v)
-        for o in naive.per_originator:
-            n, m = counts[v, o.originator]
-            assert (n / naive.degree, m / naive.degree) == (o.sigma, o.beta)
 
 
 class TestWholeGraphCounts:
@@ -288,6 +284,21 @@ def test_kernel_matches_oracle_on_wheels(n):
     records = [(i, (i + 1) % rim, 1.0) for i in range(rim)]
     records += [("hub", i, w) for i, w in enumerate(spokes)]
     assert_kernel_matches_oracle(build_graph(records))
+
+
+def test_forwarding_mask_past_the_float_range():
+    # w(b, a) * degree(b) = 3.4e308 and w(a, b) * degree(a) = 5.1e308 are
+    # inf in float64, and inf > strength is the exact answer: a and b keep
+    # quiet about each other, with no overflow warning
+    g = build_graph([("a", "b", 1.7e308), ("a", "c", 1e-300), ("a", "d", 1e-300),
+                     ("b", "c", 1.0), ("c", "d", 1.0)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_kernel_matches_oracle(g)
+        for model in ("both", "unweighted", "weighted"):
+            analyze_network(g, model)
+    assert [str(w.message) for w in caught] == []
+    assert is_close_friend(g, "a", "b") and is_close_friend(g, "b", "a")
 
 
 def test_blocking_never_changes_counts(corpus, monkeypatch):

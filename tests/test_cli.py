@@ -179,6 +179,14 @@ class TestAnalyze:
         assert run("analyze", "--input", str(p)) == 2
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sep", [" ", ","], ids=["whitespace", "comma"])
+    def test_self_loop_is_input_error(self, tmp_path, capsys, sep):
+        # whitespace and comma files both leave the self-loop to the line check
+        p = tmp_path / "loop.edges"
+        p.write_text(f"a{sep}b{sep}1\nc{sep}c{sep}2\n")
+        assert run("analyze", "--input", str(p)) == 2
+        assert capsys.readouterr().err == f"error: {p}:2: self-loop on 'c'\n"
+
 
 class TestGenerate:
     def test_writes_realizations_and_manifest(self, tmp_path):
@@ -527,6 +535,22 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run(command, *source, flag, str(value), "--out", str(out)) == 1
         assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_realizations_below_one_is_refused_by_library_and_cli(
+        self, tmp_path, capsys, command, value
+    ):
+        # the config refuses it; the flag keeps its plain int type, so the
+        # message names no argument
+        message = f"realizations must be at least 1, got {value}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorConfig(model="ER", N=20, p=0.2, realizations=value)
+        out = tmp_path / "o"
+        assert run(command, "--model", "ER", "--N", "20", "--p", "0.2",
+                   "--realizations", str(value), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--min-samples", "--workers"])

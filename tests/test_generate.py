@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,41 +56,43 @@ def ws(n=60, k=4, p=0.1, **kw):
 
 
 class TestConfigValidation:
+    # each case makes its config inside pytest.raises: construction validates
     @pytest.mark.parametrize(
         "cfg,match",
         [
-            (GeneratorConfig(model="XX", N=10, p=0.1), "model"),
-            (GeneratorConfig(model="ER", N=1, p=0.1), "N must"),
-            (er(p=None), "probability"),
-            (er(p=1.5), "probability"),
-            (ba(m0=5, m=6), "m <= m0"),
-            (ba(n=5, m0=5, m=2), "m0 < N"),
-            (GeneratorConfig(model="BA", N=10, m0=None, m=2), "m0"),
-            (ws(k=3), "even"),
-            (ws(k=None), "even"),
-            (ws(n=4, k=4), "k < N"),
-            (ws(p=None), "probability"),
-            (er(realizations=0), "realizations"),
-            (er(weight_stddev=-1.0), "stddev"),
-            (GeneratorConfig(model="ER", N=10, p=0.1, weight_truncation="abs"), "truncation"),
-            (er(seed=-1), "seed"),
-            (ba(m0=1, m=1), "m0 >= 2"),
-            (er(weight_mean=math.nan), "finite"),
-            (er(weight_mean=-math.inf), "finite"),
-            (er(weight_stddev=math.inf), "finite"),
-            (er(weight_stddev=math.nan, weight_truncation="clamp"), "finite"),
+            (partial(GeneratorConfig, model="XX", N=10, p=0.1), "model"),
+            (partial(GeneratorConfig, model="ER", N=1, p=0.1), "N must"),
+            (partial(er, p=None), "probability"),
+            (partial(er, p=1.5), "probability"),
+            (partial(ba, m0=5, m=6), "m <= m0"),
+            (partial(ba, n=5, m0=5, m=2), "m0 < N"),
+            (partial(GeneratorConfig, model="BA", N=10, m0=None, m=2), "m0"),
+            (partial(ws, k=3), "even"),
+            (partial(ws, k=None), "even"),
+            (partial(ws, n=4, k=4), "k < N"),
+            (partial(ws, p=None), "probability"),
+            (partial(er, realizations=0), "realizations"),
+            (partial(er, weight_stddev=-1.0), "stddev"),
+            (partial(GeneratorConfig, model="ER", N=10, p=0.1, weight_truncation="abs"),
+             "truncation"),
+            (partial(er, seed=-1), "seed"),
+            (partial(ba, m0=1, m=1), "m0 >= 2"),
+            (partial(er, weight_mean=math.nan), "finite"),
+            (partial(er, weight_mean=-math.inf), "finite"),
+            (partial(er, weight_stddev=math.inf), "finite"),
+            (partial(er, weight_stddev=math.nan, weight_truncation="clamp"), "finite"),
         ],
     )
     def test_rejects_bad_parameters(self, cfg, match):
         with pytest.raises(ValueError, match=match):
-            cfg.validate()
+            cfg()
 
     def test_resample_needs_mass_above_floor(self):
         # P(N(mean, 1) > floor) crosses 0.01 between mean -2.33 and -2.32
         with pytest.raises(ValueError, match="floor"):
-            er(weight_mean=-2.33).validate()
-        er(weight_mean=-2.32).validate()
-        er(weight_mean=-30.0, weight_truncation="clamp").validate()
+            er(weight_mean=-2.33)
+        er(weight_mean=-2.32)
+        er(weight_mean=-30.0, weight_truncation="clamp")
 
 
 class TestStructure:
@@ -196,9 +199,9 @@ class TestWeights:
         assert all(w > 0 for _, _, w in g.edges())
 
     def test_hopeless_resample_raises(self):
-        cfg = GeneratorConfig(model="ER", N=4, p=1.0, weight_mean=-30.0,
-                              weight_stddev=1.0, seed=6)
         with pytest.raises(ValueError, match="floor"):
+            cfg = GeneratorConfig(model="ER", N=4, p=1.0, weight_mean=-30.0,
+                                  weight_stddev=1.0, seed=6)
             realization(cfg, 0)
 
     def test_weight_multiset_reproducible(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import tracemalloc
@@ -429,6 +430,17 @@ class TestWriteEdgeList:
         with pytest.raises(ValueError, match="both written"):
             write_edge_list(g, stream)
         assert stream.getvalue() == ""
+
+    @pytest.mark.parametrize("twin", [1, 2.5])
+    def test_labels_alike_in_text_never_merge_on_reading_back(self, tmp_path, twin):
+        # a label and its str would print as one: nothing is written, or the
+        # file reads back with both
+        g = build_graph([(twin, "x", 1.0), (str(twin), "y", 2.0), ("x", "y", 1.0)])
+        path = tmp_path / "g.edges"
+        with contextlib.suppress(ValueError):
+            write_edge_list(g, path)
+        assert not path.exists() or sorted(parse_edge_list(path).labels) == sorted(
+            map(str, g.labels))
 
     def test_isolated_labels_are_not_written(self, tmp_path):
         g = build_graph([("a", "b", 1.0)], nodes=["a b", "", "b", "a"])

@@ -173,6 +173,24 @@ class TestSummarize:
         assert s.beta == summarize(sample9, model="both").beta
         assert s.k0 is None and s.beta_over_sigma is None
 
+    @pytest.mark.parametrize("model", ["unweighted", "weighted"])
+    def test_one_model_is_its_side_of_both(self, lesmis, corpus, model):
+        # the kernel counts both models either way; the summary fields and
+        # curves of the other model are None, the rest equal "both"'s
+        own = {
+            "unweighted": {"sigma", "k0", "k0_interior", "sigma_over_cc", "sigma_curve"},
+            "weighted": {"beta", "k0_w", "k0w_interior", "beta_over_cc", "beta_curve"},
+        }[model] | {"n_nodes", "n_edges", "n_isolated", "n_leaf_victims", "cc", "cc_curve"}
+        for g in [lesmis, *corpus]:
+            both, one = analyze_network(g, "both"), analyze_network(g, model)
+            for name in [f.name for f in fields(NetworkSummary)]:
+                expected = getattr(both.summary, name) if name in own else None
+                assert getattr(one.summary, name) == expected, name
+            for name in ("sigma_curve", "beta_curve", "cc_curve",
+                         "beta_over_sigma_curve", "beta_over_sigma_cc_curve"):
+                expected = getattr(both, name) if name in own else None
+                assert getattr(one, name) == expected, name
+
     def test_counts(self, lesmis):
         s = summarize(lesmis)
         assert (s.n_nodes, s.n_edges, s.n_isolated, s.n_leaf_victims) == (77, 254, 0, 17)

@@ -78,7 +78,7 @@ def test_slot_keys_past_the_int32_range():
     h = to_networkx(g)
     triangles = nx.triangles(h)
     assert sum(triangles.values()) > 0
-    assert _slot_counts(g, True, True)[0].tolist() == [triangles[v] for v in g.labels]
+    assert _slot_counts(g)[0].tolist() == [triangles[v] for v in g.labels]
     analysis = analyze_network(g)
     assert analysis.summary.cc == pytest.approx(nx.average_clustering(h), rel=0, abs=1e-12)
     # isolated nodes are no victims: the spread is that of the top nodes alone

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gossipnet import GeneratorConfig, analyze_network, build_graph, realization, victim_spread
+from gossipnet import GeneratorConfig, analyze_network, build_graph, realization
 from gossipnet.cli import main
 
-from .conftest import whole_graph_counts
+from .conftest import assert_kernel_matches_oracle, whole_graph_counts
 
 # a weighted Watts-Strogatz realization with M = 1e5
 WS = dict(model="WS", N=10_000, k=20, p=0.1, weight_stddev=1.0, seed=11)
@@ -67,17 +67,14 @@ def test_curve_means_equal_global_values(ws):
         assert abs(curve.weighted_mean() - value) <= 1e-12
 
 
-def assert_kernel_equals_oracle_on_a_sample(g, counts):
-    sample = np.random.default_rng(2007).choice(g.node_count, size=2000, replace=False)
-    for v in map(g.label_of, sample.tolist()):
-        spread = victim_spread(g, v)
-        for o in spread.per_originator:
-            n, m = counts[v, o.originator]
-            assert (n / spread.degree, m / spread.degree) == (o.sigma, o.beta)
+def sample(g):
+    """2000 seeded victims of ``g``."""
+    nodes = np.random.default_rng(2007).choice(g.node_count, size=2000, replace=False)
+    return [g.label_of(i) for i in nodes.tolist()]
 
 
-def test_kernel_equals_oracle_on_a_sample(ws, ws_counts):
-    assert_kernel_equals_oracle_on_a_sample(ws, ws_counts)
+def test_kernel_equals_oracle_on_a_sample(ws):
+    assert_kernel_matches_oracle(ws, sample(ws))
 
 
 def test_kernel_equals_oracle_with_tied_weights(ws):
@@ -87,7 +84,7 @@ def test_kernel_equals_oracle_with_tied_weights(ws):
     g = build_graph(
         [(a, b, w) for (a, b, _), w in zip(ws.edges(), weights)], nodes=ws.labels
     )
-    assert_kernel_equals_oracle_on_a_sample(g, whole_graph_counts(g))
+    assert_kernel_matches_oracle(g, sample(g))
 
 
 def test_sweep_is_byte_identical_across_worker_counts(tmp_path):
