@@ -42,6 +42,7 @@ from .metrics import (
 MODELS = ("ER", "BA", "WS")
 TRUNCATIONS = ("resample", "clamp")
 WEIGHT_FLOOR = 1e-6
+Z_99 = 2.3263478740408408  # N(0, 1)'s 1% upper quantile: NormalDist().inv_cdf(0.99)
 
 #: Stream id of each part of a realization, the last SeedSequence entry
 SEED_STREAMS = {"structure": 0, "weights": 1}
@@ -108,15 +109,15 @@ class GeneratorConfig:
             raise ValueError(
                 f"weight_truncation must be one of {TRUNCATIONS}, got {self.weight_truncation!r}"
             )
-        if self.weight_truncation == "resample" and self.weight_stddev > 0:
-            z = (WEIGHT_FLOOR - self.weight_mean) / (self.weight_stddev * math.sqrt(2.0))
-            # with P(draw > floor) >= 0.01, a batch of 10 000 draws in
-            # _node_weights finds none above it with odds 0.99**10_000 < e**-100
-            if 0.5 * math.erfc(z) < 0.01:
-                raise ValueError(
-                    "weight distribution has under 1% of its mass above the positive "
-                    "floor; raise weight_mean or use weight_truncation clamp"
-                )
+        # numpy draws mean + stddev * z, so every z >= Z_99 (1% of the draws)
+        # lands above the floor exactly when this float sum does and the redraws
+        # in _node_weights end; a spread too small to move the sum is refused
+        if (self.weight_truncation == "resample"
+                and not self.weight_mean + Z_99 * self.weight_stddev > WEIGHT_FLOOR):
+            raise ValueError(
+                "weight distribution has under 1% of its mass above the positive "
+                "floor; raise weight_mean or use weight_truncation clamp"
+            )
         if self.model == "ER":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"ER needs connection probability p in [0, 1], got {self.p!r}")
@@ -227,8 +228,6 @@ def _node_weights(cfg: GeneratorConfig, n: int, rng: np.random.Generator) -> np.
     weights = np.empty(0)
     while len(weights) < n:
         draws = rng.normal(cfg.weight_mean, cfg.weight_stddev, max(n - len(weights), 10_000))
-        if not (draws > WEIGHT_FLOOR).any():
-            raise ValueError("weight distribution has almost no mass above the positive floor")
         weights = np.concatenate((weights, draws[draws > WEIGHT_FLOOR]))
     return weights[:n]
 

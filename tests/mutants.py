@@ -10,6 +10,9 @@ so a refactor that moves the code must update its row. A named test must
 catch its row on every run: a property test that finds the fault only in
 some of its random examples is no canary. Each row gets an empty hypothesis
 example database, so a failure that one run saved is not replayed by the next.
+A row whose tests run past ``TIMEOUT_S`` is killed and counts as not caught,
+so a named test must not draw weights from a config the fault lets through:
+its redraws may never end.
 
 The file is not collected by pytest. Run it from anywhere:
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -28,6 +32,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+#: Seconds a row's tests may run; a row that runs longer is not caught
+TIMEOUT_S = 60
 
 
 class Mutant(NamedTuple):
@@ -256,9 +262,9 @@ MUTANTS = (
         "    def __post_init__(self) -> None:\n        self.validate()\n",
         "",
         ("tests/test_cli.py::TestExitCodes::test_negative_seed_is_usage_error[generate]",
-         "tests/test_cli.py::TestExitCodes::test_hopeless_weight_distribution_is_usage_error[sweep]",
          "tests/test_cli.py::TestExitCodes::"
-         "test_invalid_generator_parameters_are_usage_errors[nan_mean-generate]"),
+         "test_invalid_generator_parameters_are_usage_errors[ba_m0_1-generate]",
+         "tests/test_generate.py::TestConfigValidation::test_rejects_bad_parameters[cfg0-model]"),
         "Each choice settled once",
     ),
     Mutant(  # --model unweighted reports the weighted model too
@@ -284,6 +290,34 @@ MUTANTS = (
         ("tests/test_cascade.py::test_forwarding_mask_past_the_float_range",),
         "Each choice settled once",
     ),
+    Mutant(  # the resample rule accepts a sum that rounds to the floor
+        "generate.py",
+        "Z_99 * self.weight_stddev > WEIGHT_FLOOR",
+        "Z_99 * self.weight_stddev >= WEIGHT_FLOOR",
+        ("tests/test_generate.py::TestConfigValidation::test_resample_rule_is_exact_at_the_floor",
+         "tests/test_generate.py::TestConfigValidation::test_rejects_bad_parameters[cfg22-under 1%]",
+         "tests/test_generate.py::TestConfigValidation::test_rejects_bad_parameters[cfg23-under 1%]"),
+        "One exact weight-floor rule",
+    ),
+    Mutant(  # a zero spread at the floor is made
+        "generate.py",
+        "        if self.weight_stddev == 0 and self.weight_mean <= WEIGHT_FLOOR:\n"
+        '            raise ValueError("weight_mean must exceed the positive floor when'
+        ' weight_stddev is 0")\n',
+        "",
+        ("tests/test_generate.py::TestConfigValidation::"
+         "test_rejects_bad_parameters[cfg20-weight_stddev is 0]",
+         "tests/test_generate.py::TestConfigValidation::"
+         "test_rejects_bad_parameters[cfg21-weight_stddev is 0]"),
+        "One exact weight-floor rule",
+    ),
+    Mutant(  # a global spread factor averaged over isolated nodes too
+        "metrics.py",
+        "total / n_victims",
+        "total / g.node_count",
+        ("tests/test_acceptance.py::test_c11_degree_curve_consistency",),
+        "One exact weight-floor rule",
+    ),
 )
 
 
@@ -298,16 +332,25 @@ def check(m: Mutant, tmp: Path) -> str | None:
     path.write_text(text.replace(m.snippet, m.replacement), encoding="utf-8")
     # the mutated copy goes first on sys.path, ahead of the checkout's src/;
     # a wide terminal keeps each failure's message in the summary
-    proc = subprocess.run(
+    with subprocess.Popen(
         [sys.executable, "-X", "dev", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--tb=no", "-rf", "-o", f"pythonpath={src}", *m.tests],
-        cwd=ROOT, capture_output=True, text=True,
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, COLUMNS="10000", HYPOTHESIS_STORAGE_DIRECTORY=str(tmp / "hypothesis")),
-    )
+        start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            # the whole process group: a forked sweep worker that holds the
+            # pipe would keep communicate() waiting after pytest is gone
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return f"its tests ran past the {TIMEOUT_S} s timeout"
     if proc.returncode != 1:
-        return f"pytest exited {proc.returncode}, not 1:\n{proc.stdout}{proc.stderr}"
+        return f"pytest exited {proc.returncode}, not 1:\n{out}{err}"
     # a test id may hold spaces, as in test_same_error_as_line_reader[a b-150-40]
-    failed = dict(re.findall(r"^FAILED (.+?) - (.*)$", proc.stdout, re.M))
+    failed = dict(re.findall(r"^FAILED (.+?) - (.*)$", out, re.M))
     for test in m.tests:
         if not failed.get(test, "").startswith(("assert", "AssertionError")):
             return f"{test} did not fail by assertion: {failed.get(test, 'it passed')}"

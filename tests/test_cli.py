@@ -256,6 +256,15 @@ class TestSweep:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_field_undefined_in_every_realization_is_null(self, tmp_path):
+        # the complete graph on 4 nodes has no critical degree
+        out = tmp_path / "sw"
+        assert run("sweep", "--model", "ER", "--N", "4", "--p", "1", "--realizations", "2",
+                   "--out", str(out)) == 0
+        payload = json.loads((out / "ensemble.json").read_text())
+        assert (payload["mean"]["k0"], payload["std"]["k0"]) == (None, None)
+        assert payload["defined"]["k0"] == 0
+
     def test_mean_curves_written(self, tmp_path):
         out = tmp_path / "sw"
         run("sweep", "--model", "ER", "--N", "25", "--p", "0.2", "--seed", "2",
@@ -434,8 +443,10 @@ class TestExitCodes:
             (("--model", "BA", "--m0", "1", "--m", "1"), "m0 >= 2"),
             (("--model", "ER", "--p", "0.5", "--weight_mean", "nan"), "finite"),
             (("--model", "ER", "--p", "0.5", "--weight_stddev", "inf"), "finite"),
+            (("--model", "ER", "--p", "0.5", "--weight_mean", "1e-6", "--weight_stddev",
+              "1e-30"), "under 1%"),
         ],
-        ids=["ba_m0_1", "nan_mean", "inf_stddev"],
+        ids=["ba_m0_1", "nan_mean", "inf_stddev", "sub_resolution"],
     )
     def test_invalid_generator_parameters_are_usage_errors(
         self, tmp_path, capsys, command, flags, message

@@ -43,6 +43,16 @@ from gossipnet.generate import (
 from .conftest import assert_same_graph
 
 
+def refusal(make) -> str:
+    """The message of the ValueError that ``make()`` raises, "" when it returns.
+    A config made in error then fails its test by assertion."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
 def er(n=60, p=0.1, **kw):
     return GeneratorConfig(model="ER", N=n, p=p, **kw)
 
@@ -56,7 +66,7 @@ def ws(n=60, k=4, p=0.1, **kw):
 
 
 class TestConfigValidation:
-    # each case makes its config inside pytest.raises: construction validates
+    # construction validates, so each case only makes its config
     @pytest.mark.parametrize(
         "cfg,match",
         [
@@ -81,11 +91,16 @@ class TestConfigValidation:
             (partial(er, weight_mean=-math.inf), "finite"),
             (partial(er, weight_stddev=math.inf), "finite"),
             (partial(er, weight_stddev=math.nan, weight_truncation="clamp"), "finite"),
+            (partial(er, weight_mean=WEIGHT_FLOOR, weight_stddev=0.0), "weight_stddev is 0"),
+            (partial(er, weight_mean=WEIGHT_FLOOR, weight_stddev=0.0, weight_truncation="clamp"),
+             "weight_stddev is 0"),
+            # sub-resolution spreads: mean + Z_99 * stddev rounds to the mean
+            (partial(er, weight_mean=WEIGHT_FLOOR, weight_stddev=1e-30), "under 1%"),
+            (partial(er, weight_mean=WEIGHT_FLOOR, weight_stddev=5e-324), "under 1%"),
         ],
     )
     def test_rejects_bad_parameters(self, cfg, match):
-        with pytest.raises(ValueError, match=match):
-            cfg()
+        assert match in refusal(cfg)
 
     def test_resample_needs_mass_above_floor(self):
         # P(N(mean, 1) > floor) crosses 0.01 between mean -2.33 and -2.32
@@ -93,6 +108,15 @@ class TestConfigValidation:
             er(weight_mean=-2.33)
         er(weight_mean=-2.32)
         er(weight_mean=-30.0, weight_truncation="clamp")
+
+    def test_resample_rule_is_exact_at_the_floor(self):
+        # at the floor, mean + Z_99 * stddev rounds above it for this stddev and
+        # to it for the next float below; what is made draws above the floor
+        stddev = 4.551302046794776e-23
+        below = math.nextafter(stddev, 0.0)
+        assert "under 1%" in refusal(partial(er, weight_mean=WEIGHT_FLOOR, weight_stddev=below))
+        cfg = er(weight_mean=WEIGHT_FLOOR, weight_stddev=stddev, seed=3)
+        assert (_node_weights(cfg, 1000, _stream(cfg, 0, "weights")) > WEIGHT_FLOOR).all()
 
 
 class TestStructure:
