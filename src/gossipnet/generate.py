@@ -17,7 +17,6 @@ of its endpoint values.
 from __future__ import annotations
 
 import builtins
-import itertools
 import math
 import os
 import pickle
@@ -178,29 +177,28 @@ def _ba_edges(n: int, m0: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 def _ws_edges(n: int, k: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # ring lattice, then one rewiring pass per lattice edge; rewired ends are
-    # redrawn to avoid self-loops and duplicates, skipping saturated nodes
-    edge_set: set[tuple[int, int]] = set()
+    # redrawn to avoid self-loops and duplicates, skipping saturated nodes.
+    # Each edge is its pair key lo * n + hi (see graph._pair_keys): at ring
+    # distance j, (i, i + j) for i < n - j, then the pairs that wrap round
+    keys: set[int] = set()
     for j in range(1, k // 2 + 1):
-        for i in range(n):
-            a, b = i, (i + j) % n
-            edge_set.add((a, b) if a < b else (b, a))
+        keys.update(range(j, (n - j) * (n + 1), n + 1), range(n - j, j * (n + 1), n + 1))
     degree = [k] * n
     for j in range(1, k // 2 + 1):
-        for i in range(n):
-            a, b = i, (i + j) % n
+        for a in range(n):
             if rng.random() >= p or degree[a] >= n - 1:
                 continue
+            b = (a + j) % n
             while True:
                 t = int(rng.integers(n))
-                new_key = (a, t) if a < t else (t, a)
-                if t != a and new_key not in edge_set:
-                    edge_set.discard((a, b) if a < b else (b, a))
-                    edge_set.add(new_key)
+                new_key = a * n + t if a < t else t * n + a
+                if t != a and new_key not in keys:
+                    keys.discard(a * n + b if a < b else b * n + a)
+                    keys.add(new_key)
                     degree[b] -= 1
                     degree[t] += 1
                     break
-    flat = itertools.chain.from_iterable(edge_set)
-    return np.fromiter(flat, dtype=np.int64, count=2 * len(edge_set)).reshape(-1, 2)
+    return np.column_stack(np.divmod(np.fromiter(keys, np.int64, len(keys)), n))
 
 
 def generate_structure(cfg: GeneratorConfig, realization_index: int = 0) -> WeightedGraph:

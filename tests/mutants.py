@@ -318,6 +318,28 @@ MUTANTS = (
         ("tests/test_acceptance.py::test_c11_degree_curve_consistency",),
         "One exact weight-floor rule",
     ),
+    Mutant(  # a rewired edge that wraps round the ring is never removed
+        "generate.py",
+        "keys.discard(a * n + b if a < b else b * n + a)",
+        "keys.discard(a * n + b)",
+        ("tests/test_generate.py::TestStructure::test_ws_rewiring_preserves_edge_count",
+         "tests/test_generate.py::TestBatchDraws::test_ws_edges_equal_tuple_set_draws[200-20]"),
+        "WS rewiring over integer pair keys",
+    ),
+    Mutant(  # the lattice's wrapping pairs start one pair late
+        "generate.py",
+        "range(n - j, j * (n + 1), n + 1)",
+        "range(2 * n + 1 - j, j * (n + 1), n + 1)",
+        ("tests/test_generate.py::TestStructure::test_ws_lattice_when_no_rewiring",),
+        "WS rewiring over integer pair keys",
+    ),
+    Mutant(  # a victim's spread divided by its ordered pairs of distinct friends
+        "metrics.py",
+        "_per_victim(k, count_sums, k * k)",
+        "_per_victim(k, count_sums, k * (k - 1))",
+        ("tests/test_scale.py::test_triangle_free_graph_spreads_to_nobody",),
+        "WS rewiring over integer pair keys",
+    ),
 )
 
 

@@ -153,6 +153,17 @@ class TestStructure:
         assert 11_000 < len(edges) < 14_000
         assert peak < 16 * 2**20
 
+    def test_ws_memory_per_edge(self):
+        # the rewiring set holds one int key per edge, not a tuple of two
+        tracemalloc.start()
+        try:
+            edges = _ws_edges(10_000, 20, 0.1, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(edges) == 100_000
+        assert peak < 140 * len(edges)
+
     def test_ws_lattice_when_no_rewiring(self):
         g = generate_structure(ws(n=200, k=4, p=0.0, seed=3), 0)
         assert g.edge_count == 400
@@ -310,6 +321,40 @@ def rowwise_er_edges(n, p, rng):
     )
 
 
+def tuple_set_ws_edges(n, k, p, rng):
+    """WS rewiring over a set of (lo, hi) tuples, the ring lattice built
+    first: the reference for the rewiring over pair keys. Returns the edges
+    in ascending order."""
+    edge_set = set()
+    for j in range(1, k // 2 + 1):
+        for i in range(n):
+            a, b = i, (i + j) % n
+            edge_set.add((a, b) if a < b else (b, a))
+    degree = [k] * n
+    for j in range(1, k // 2 + 1):
+        for i in range(n):
+            a, b = i, (i + j) % n
+            if rng.random() >= p or degree[a] >= n - 1:
+                continue
+            while True:
+                t = int(rng.integers(n))
+                new_key = (a, t) if a < t else (t, a)
+                if t != a and new_key not in edge_set:
+                    edge_set.discard((a, b) if a < b else (b, a))
+                    edge_set.add(new_key)
+                    degree[b] -= 1
+                    degree[t] += 1
+                    break
+    return np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
+
+
+#: (N, k) of the WS reference cases: every ring up to N = 12, rings at
+#: N = 25 and 60 (nodes saturate at k = N - 1 and N - 2) and two at N = 200
+WS_CASES = ([(n, k) for n in range(3, 13) for k in range(2, n, 2)]
+            + [(n, k) for n in (25, 60) for k in (2, 4, 10)]
+            + [(25, 24), (60, 58), (200, 4), (200, 20)])
+
+
 class TestBatchDraws:
     """The batch draws take the same values from the same stream as the
     scalar loops they replaced."""
@@ -339,6 +384,17 @@ class TestBatchDraws:
             assert np.array_equal(_ba_edges(n, m0, m, a), scalar_ba_edges(n, m0, m, b))
             # the stream stays aligned after the top-up draws too
             assert a.integers(1 << 40) == b.integers(1 << 40)
+
+    @pytest.mark.parametrize("n, k", WS_CASES)
+    def test_ws_edges_equal_tuple_set_draws(self, n, k):
+        for p in (0.0, 0.05, 0.3, 0.7, 1.0):
+            for seed in range(4):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                edges = _ws_edges(n, k, p, a)
+                assert edges.dtype == np.int64
+                ordered = edges[np.argsort(edges[:, 0] * n + edges[:, 1])]
+                assert np.array_equal(ordered, tuple_set_ws_edges(n, k, p, b))
+                assert a.random() == b.random()
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, ER_CHUNK])
     def test_er_edges_equal_rowwise_draws(self, monkeypatch, chunk):

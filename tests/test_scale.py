@@ -39,6 +39,13 @@ def test_triangle_free_graph_spreads_to_nobody():
     analysis = analyze_network(g)
     assert analysis.summary.cc == 0.0
     assert analysis.sigma_curve == analysis.beta_curve
+    # a degree-1 victim has no pair of friends and records 0; above it each
+    # point is the fsum of n_k terms 1/k divided by n_k, which may miss 1/k
+    # in the last bit
+    for curve in (analysis.sigma_curve, analysis.beta_curve):
+        assert curve.value(1) == 0.0
+        for k in curve.degrees()[1:]:
+            assert curve.value(k) == pytest.approx(1 / k, rel=1e-15, abs=0)
 
 
 def test_uniform_weights_make_the_models_agree():
