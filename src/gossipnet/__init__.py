@@ -30,13 +30,7 @@ from .generate import (
     run_ensemble,
     save_config,
 )
-from .graph import (
-    Neighborhood,
-    NodeProfile,
-    WeightedGraph,
-    build_graph,
-    induced_neighborhood,
-)
+from .graph import NodeProfile, WeightedGraph, build_graph
 from .ingest import (
     EdgeListError,
     parse_bipartite,
@@ -64,7 +58,6 @@ __all__ = [
     "EdgeListError",
     "EnsembleSummary",
     "GeneratorConfig",
-    "Neighborhood",
     "NetworkAnalysis",
     "NetworkSummary",
     "NodeProfile",
@@ -78,7 +71,6 @@ __all__ = [
     "cascade_weighted",
     "find_k0",
     "generate_structure",
-    "induced_neighborhood",
     "is_close_friend",
     "load_config",
     "parse_bipartite",

@@ -333,7 +333,7 @@ def victim_spread(g: WeightedGraph, v: Label, model: str = "both") -> VictimSpre
     )
 
 
-#: Old name of the oracle, kept only for perfbench's traced
-#: ``local_components`` counter; ROADMAP item 1e moves that counter off it and
-#: deletes this alias.
+#: Old name of the oracle, kept only for the benchmark's traced
+#: ``local_components`` counter (``perfbench/oracle.py``). ROADMAP item 1
+#: deletes it, in a change to the benchmark that moves the counter off it.
 fast_victim_spread = victim_spread

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import itertools
 import json
 import shutil
 import sys
@@ -133,9 +132,9 @@ def _write_json(dest: Callable[[], IO[str]], **payload) -> None:
 
 def _write_labels(dest: Callable[[], IO[str]], g: WeightedGraph) -> None:
     """``index,label`` rows, ingest.WRITE_CHUNK per write. A chunk of ``str``
-    labels that are printable and hold no ``,`` or ``"`` is one join of
-    ``index,`` / label / newline cells: csv quotes none of them in any
-    version. Any other chunk goes through csv."""
+    labels that are printable and hold no ``,`` or ``"`` is one ``%`` format,
+    a ``%d,%s`` line per row over its index and label cells: csv quotes none
+    of them in any version. Any other chunk goes through csv."""
     labels = g.labels
     with dest() as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -148,11 +147,10 @@ def _write_labels(dest: Callable[[], IO[str]], g: WeightedGraph) -> None:
             if not text.isprintable() or "," in text or '"' in text:
                 writer.writerows(zip(rows, map(_cell, chunk)))
                 continue
-            cells = [None] * (3 * len(chunk))
-            cells[0::3] = map("{},".format, rows)
-            cells[1::3] = chunk
-            cells[2::3] = itertools.repeat("\n", len(chunk))
-            fh.write("".join(cells))
+            cells = [None] * (2 * len(chunk))
+            cells[0::2] = rows
+            cells[1::2] = chunk
+            fh.write(("%d,%s\n" * len(chunk)) % tuple(cells))
 
 
 # -- commands -----------------------------------------------------------------

@@ -53,24 +53,6 @@ class NodeProfile:
     threshold: float | None
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Subgraph induced by the 1-neighborhood of a center node.
-
-    Each local edge {i, j} corresponds one-to-one with a triangle
-    (center, i, j) of the parent graph, so ``edge_count`` equals the number
-    of triangles through the center.
-    """
-
-    center: Label
-    nodes: frozenset[Label]
-    edges: frozenset[frozenset[Label]]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
 def _label_index() -> defaultdict:
     """Labels to dense indices in order of first appearance: looking up a
     label not yet held adds it with the next index. ``build_graph`` and the
@@ -420,7 +402,8 @@ def _mean_weighted(g: WeightedGraph, values: np.ndarray) -> WeightedGraph:
 
 
 def _local_index(g: WeightedGraph, v_idx: int) -> tuple[list[int], list[list[int]]]:
-    """Neighborhood of ``v_idx`` in local coordinates, as plain lists.
+    """The neighbors of ``v_idx`` and the edges among them, in local
+    coordinates, as plain lists: the BFS oracle's view of one victim.
 
     Returns (neighbor indices, local adjacency lists); local position ``i``
     corresponds to ``nbrs[i]``, and each list is in ascending order.
@@ -451,13 +434,3 @@ def _pairs_after(later: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
     return first, second
 
-
-def induced_neighborhood(g: WeightedGraph, v: Label) -> Neighborhood:
-    """Subgraph over the neighbors of ``v``; empty for an isolated node."""
-    nbrs, ladj = _local_index(g, g.index_of(v))
-    node_labels = [g.label_of(u) for u in nbrs]
-    edges = frozenset(
-        frozenset((node_labels[i], node_labels[j]))
-        for i, row in enumerate(ladj) for j in row if j > i
-    )
-    return Neighborhood(center=v, nodes=frozenset(node_labels), edges=edges)

@@ -14,6 +14,7 @@ A row whose tests run past ``TIMEOUT_S`` is killed and counts as not caught,
 so a named test must not draw weights from a config the fault lets through:
 its redraws may never end.
 
+The runner prints each row's seconds and, on its summary line, the total.
 The file is not collected by pytest. Run it from anywhere:
 
     python tests/mutants.py
@@ -28,6 +29,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -340,6 +342,33 @@ MUTANTS = (
         ("tests/test_scale.py::test_triangle_free_graph_spreads_to_nobody",),
         "WS rewiring over integer pair keys",
     ),
+    Mutant(  # the oracle's spread factors swap the two models' totals
+        "cascade.py",
+        "        sigma=n_total / (k * k) if run_u else None,\n"
+        "        beta=m_total / (k * k) if run_w else None,\n",
+        "        sigma=m_total / (k * k) if run_u else None,\n"
+        "        beta=n_total / (k * k) if run_w else None,\n",
+        ("tests/test_acceptance.py::test_c05_dominance_suite",
+         "tests/test_cascade.py::TestVictimSpread::test_sample_network_means"),
+        "The networkx oracle checks the kernel's own triangle counts",
+    ),
+    Mutant(  # a forked sweep worker's analyses placed in reverse order
+        "generate.py",
+        "analyses[w::pool_size] = result",
+        "analyses[w::pool_size] = result[::-1]",
+        ("tests/test_acceptance.py::test_c10_byte_determinism",
+         "tests/test_cli.py::TestSweep::test_worker_counts_byte_identical"),
+        "The networkx oracle checks the kernel's own triangle counts",
+    ),
+    Mutant(  # one triangle family left out of the triangles through each node
+        "cascade.py",
+        "for slots in cycle)",
+        "for slots in cycle[:2])",
+        ("tests/test_networkx_oracle.py::test_les_miserables",
+         "tests/test_networkx_oracle.py::test_corpus",
+         "tests/test_networkx_oracle.py::test_generated_realization_m1e5"),
+        "The networkx oracle checks the kernel's own triangle counts",
+    ),
 )
 
 
@@ -382,16 +411,21 @@ def check(m: Mutant, tmp: Path) -> str | None:
 def main() -> int:
     changes = (ROOT / "CHANGES.md").read_text(encoding="utf-8")
     broken = 0
+    began = time.perf_counter()
     for m in MUTANTS:
+        start = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             problem = check(m, Path(tmp))
+        seconds = time.perf_counter() - start
         if problem is None and m.source not in changes:
             problem = f"CHANGES.md has no entry {m.source!r}"
         broken += problem is not None
-        print(f"{'ok  ' if problem is None else 'FAIL'} {m.file}: {m.snippet!r} -> {m.replacement!r}")
+        print(f"{'ok  ' if problem is None else 'FAIL'} {seconds:5.1f} s "
+              f"{m.file}: {m.snippet!r} -> {m.replacement!r}")
         if problem is not None:
             print(f"     {problem}")
-    print(f"{len(MUTANTS) - broken} of {len(MUTANTS)} mutants caught by their tests")
+    print(f"{len(MUTANTS) - broken} of {len(MUTANTS)} mutants caught by their tests "
+          f"in {time.perf_counter() - began:.1f} s")
     return 1 if broken else 0
 
 

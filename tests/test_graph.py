@@ -1,4 +1,4 @@
-"""Graph construction, profiles, and induced neighborhoods."""
+"""Graph construction, profiles, and the neighborhood view of the BFS oracle."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipnet import build_graph, graph, induced_neighborhood, parse_edge_list, write_edge_list
-from gossipnet.graph import _pairs_after
+from gossipnet import build_graph, graph, parse_edge_list, write_edge_list
+from gossipnet.cascade import _slot_counts
+from gossipnet.graph import _local_index, _pairs_after
 
 from .conftest import assert_same_graph, random_weighted_graph
 
@@ -175,34 +176,44 @@ def test_adjacency_symmetric(corpus):
             assert g.weight(v, u) == w
 
 
-def test_induced_neighborhood_sample(sample9):
-    nb = induced_neighborhood(sample9, "v")
-    assert nb.nodes == frozenset("abcdefgh")
+def local_view(g, label) -> tuple[frozenset, frozenset]:
+    """The neighbors of ``label`` and the edges among them, by label, as the
+    BFS oracle's ``_local_index`` gives them."""
+    nbrs, ladj = _local_index(g, g.index_of(label))
+    names = [g.label_of(u) for u in nbrs]
+    edges = frozenset(frozenset((names[i], names[j])) for i, row in enumerate(ladj) for j in row)
+    return frozenset(names), edges
+
+
+def test_local_view_sample(sample9):
+    nodes, edges = local_view(sample9, "v")
+    assert nodes == frozenset("abcdefgh")
     expected = {("a", "b"), ("b", "c"), ("b", "d"), ("d", "e"), ("g", "h")}
-    assert nb.edges == frozenset(frozenset(e) for e in expected)
-    assert nb.edge_count == 5
+    assert edges == frozenset(frozenset(e) for e in expected)
+    assert _slot_counts(sample9)[0][sample9.index_of("v")] == 5
 
 
-def test_induced_neighborhood_complete_graph():
+def test_complete_graph_triangles():
     n = 6
     g = build_graph([(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
-    nb = induced_neighborhood(g, 0)
-    assert len(nb.nodes) == n - 1
-    assert nb.edge_count == (n - 1) * (n - 2) // 2
+    nodes, edges = local_view(g, 0)
+    assert len(nodes) == n - 1
+    assert len(edges) == (n - 1) * (n - 2) // 2
+    assert _slot_counts(g)[0].tolist() == [(n - 1) * (n - 2) // 2] * n
 
 
-def test_induced_neighborhood_star_center():
+def test_star_center_has_no_triangles():
     g = build_graph([("hub", f"s{i}", 1.0) for i in range(6)])
-    nb = induced_neighborhood(g, "hub")
-    assert len(nb.nodes) == 6
-    assert nb.edge_count == 0
+    nodes, edges = local_view(g, "hub")
+    assert len(nodes) == 6
+    assert edges == frozenset()
+    assert _slot_counts(g)[0].tolist() == [0] * 7
 
 
-def test_induced_neighborhood_isolated():
+def test_isolated_node_has_an_empty_view():
     g = build_graph([("a", "b", 1.0)], nodes=["x"])
-    nb = induced_neighborhood(g, "x")
-    assert nb.nodes == frozenset()
-    assert nb.edges == frozenset()
+    assert _local_index(g, g.index_of("x")) == ([], [])
+    assert _slot_counts(g)[0][g.index_of("x")] == 0
 
 
 def test_local_edge_count_equals_triangles_through_node():
@@ -219,8 +230,7 @@ def test_local_edge_count_equals_triangles_through_node():
                 if g.has_edge(labels[a], labels[c]) and g.has_edge(labels[b], labels[c]):
                     for u in (labels[a], labels[b], labels[c]):
                         triangles_through[u] += 1
-    for u in labels:
-        assert induced_neighborhood(g, u).edge_count == triangles_through[u]
+    assert dict(zip(labels, _slot_counts(g)[0].tolist())) == triangles_through
 
 
 def test_edge_list_round_trip(tmp_path, corpus):
