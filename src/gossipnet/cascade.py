@@ -7,9 +7,11 @@ models are one reachability rule and differ only in who forwards. In the
 weighted model a node ``s`` keeps quiet when the victim is a close friend,
 i.e. when w(s, v) strictly exceeds s's mean incident weight, the originator
 included; quiet nodes receive and count as knowers but never send. The
-base (unweighted) model is the weighted one with nobody quiet: the
-component kernel gets an all-true forwarding mask, and the BFS oracle the
-local rows with no quiet node's row emptied.
+base (unweighted) model is the weighted one with nobody quiet, so its
+knower count is the size of the originator's local component: the kernel
+reads it straight from the component pass, and only the weighted model adds
+each component's quiet boundary. The BFS oracle takes the local rows, with
+no quiet node's row emptied for the base model.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from .graph import Label, WeightedGraph, _local_index, _pairs_after, _spans
 MODELS = ("unweighted", "weighted", "both")
 
 #: Slots plus local edges per block of victims in one component pass. They
-#: bound the temporaries, never the results. Every block scans the triangle
-#: list, so a large graph gets at most MAX_BLOCKS larger blocks instead of many.
-BLOCK_SIZE = 1 << 15
+#: bound the temporaries, never the results. Every block scans the three
+#: triangle families, so blocks are large: a clique-rich graph of M=6.6e4
+#: and 2.2e5 triangles takes 7 (25 at 1 << 15), and a large graph gets at
+#: most MAX_BLOCKS larger blocks instead of many.
+BLOCK_SIZE = 1 << 17
 MAX_BLOCKS = 32
 
 #: Wedges closed per batch in the triangle listing. It bounds the
@@ -132,28 +136,31 @@ def _bfs(ladj: list[list[int]], start: int) -> tuple[dict[int, int], int]:
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Component representative of each of ``n`` nodes joined by edges a-b.
+    """Component representative, the smallest node, of each of ``n`` nodes
+    joined by edges a-b.
 
     Hooking plus pointer jumping: every round hooks the larger of the two
     roots of each edge that still crosses components onto the smaller one,
     then jumps pointers until every node points at its root. Jumping
     flattens a chain of length L in about log2(L) steps, where label
-    propagation would need a step per hop of the component's diameter.
+    propagation would need a step per hop of the component's diameter. In
+    the first round every node is its own root, so the edge ends are hooked
+    as they are, with no gather.
     """
     root = np.arange(n, dtype=np.int32)
-    while a.size:
-        ra, rb = root[a], root[b]
-        crossing = ra != rb
-        if not crossing.any():
-            break
-        a, b, ra, rb = a[crossing], b[crossing], ra[crossing], rb[crossing]
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+    np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+    while True:
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    return root
+        ra, rb = root[a], root[b]
+        crossing = ra != rb
+        if not crossing.any():
+            return root
+        a, b, ra, rb = a[crossing], b[crossing], ra[crossing], rb[crossing]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
 
 
 def _reach_counts(a: np.ndarray, b: np.ndarray, fwd: np.ndarray) -> np.ndarray:
@@ -163,18 +170,21 @@ def _reach_counts(a: np.ndarray, b: np.ndarray, fwd: np.ndarray) -> np.ndarray:
     Forwarding nodes sharing a component of the forwarding-only subgraph
     reach that whole component plus its non-forwarding boundary, each
     boundary node counted once; a non-forwarding originator reaches nobody
-    (count 1). The base model is the mask with every node forwarding: the
-    boundary is empty and the count is the component size.
+    (count 1). The kernel calls it for the weighted model only: with every
+    node forwarding the boundary is empty, and the count is the component
+    size that ``_slot_counts`` reads from ``_components`` itself.
     """
     n = len(fwd)
     fa, fb = fwd[a], fwd[b]
-    root = _components(n, a[fa & fb], b[fa & fb])
+    both = fa & fb
+    root = _components(n, a[both], b[both])
     reach = np.bincount(root, minlength=n)
-    # edges with one quiet end: (component of the forwarding end, quiet end),
-    # each distinct pair one more knower for that component
-    mixed = fa != fb
-    sender = np.where(fa, a, b)[mixed]
-    quiet = np.where(fa, b, a)[mixed]
+    # edges with exactly one quiet end: (component of the forwarding end,
+    # quiet end), each distinct pair one more knower for that component
+    mixed = np.flatnonzero(fa != fb)
+    am, bm, a_sends = a[mixed], b[mixed], fa[mixed]
+    sender = np.where(a_sends, am, bm)
+    quiet = np.where(a_sends, bm, am)
     pairs = np.sort(root[sender].astype(np.int64) * n + quiet)
     distinct = np.diff(pairs, prepend=-1) != 0
     reach += np.bincount(pairs[distinct] // n, minlength=n)
@@ -222,7 +232,7 @@ def _triangles(g: WeightedGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
 def _slot_counts(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Triangles through each node, and the knower count of the originator
     of every slot in the base and in the weighted model, from one triangle
-    listing and one component pass per block of whole victims.
+    listing and one component pass per model and block of whole victims.
 
     Each triangle (x, y, z) is one local edge in each of N(x), N(y) and
     N(z): in N(x) it joins x→y and x→z, in N(y) y→z and y→x, in N(z) z→x
@@ -246,7 +256,9 @@ def _slot_counts(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             a_parts.append(own[inside] - s0)
             b_parts.append(reverse[before[inside]] - s0)
         a, b = np.concatenate(a_parts), np.concatenate(b_parts)
-        n_per[s0:s1] = _reach_counts(a, b, np.ones(s1 - s0, dtype=bool))
+        # everyone forwards in the base model: the knowers are the component
+        root = _components(s1 - s0, a, b)
+        n_per[s0:s1] = np.bincount(root)[root]
         # the far end u of slot v→u forwards unless v is its close friend:
         # w(u, v) * degree(u) > strength(u); a product past the float range
         # is inf, and inf > strength(u) is then the exact answer

@@ -238,7 +238,7 @@ def write_edge_list(g: WeightedGraph, dest: str | PathLike[str] | IO[str] | Call
     rank[by_text] = np.arange(len(texts))
     lo, hi = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
     del a, b
-    order = np.lexsort((hi, lo))
+    order = np.argsort(lo * len(texts) + hi)  # distinct keys: one order only
     lo, hi = lo[order], hi[order]
     # each line is three cells: both labels with a trailing space, then the
     # weight with a newline

@@ -65,6 +65,22 @@ MUTANTS = (
          "tests/test_acceptance.py::test_c06_fast_path_oracle_equivalence"),
         "One builder per result",
     ),
+    Mutant(  # a mixed edge's quiet end taken as its sender
+        "cascade.py",
+        "sender = np.where(a_sends, am, bm)",
+        "sender = np.where(a_sends, bm, am)",
+        ("tests/test_cascade.py::test_kernel_matches_oracle_on_wheels[5]",
+         "tests/test_scale.py::test_kernel_equals_oracle_on_a_sample",
+         "tests/test_acceptance.py::test_c06_fast_path_oracle_equivalence"),
+        "The spread kernel reads each local edge only in the passes that need it",
+    ),
+    Mutant(  # the first round hooks each edge's smaller end onto its larger one
+        "cascade.py",
+        "np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))",
+        "np.maximum.at(root, np.minimum(a, b), np.maximum(a, b))",
+        ("tests/test_cascade.py::test_components_of_a_long_path_and_a_star",),
+        "The spread kernel reads each local edge only in the passes that need it",
+    ),
     Mutant(  # the oracle's close-friend rule: a tie on the threshold goes quiet
         "cascade.py",
         "[] if w * k > s else row",
@@ -85,8 +101,8 @@ MUTANTS = (
     ),
     Mutant(  # the base model forwards as the weighted one does
         "cascade.py",
-        "_reach_counts(a, b, np.ones(s1 - s0, dtype=bool))",
-        "_reach_counts(a, b, ~(g._weights[s0:s1] * g._degree[g._indices[s0:s1]]"
+        "n_per[s0:s1] = np.bincount(root)[root]",
+        "n_per[s0:s1] = _reach_counts(a, b, ~(g._weights[s0:s1] * g._degree[g._indices[s0:s1]]"
         " > g._strength[g._indices[s0:s1]]))",
         ("tests/test_cascade.py::TestWholeGraphCounts::test_sample_network",
          "tests/test_acceptance.py::test_c04_les_miserables_reference_row",

@@ -317,12 +317,47 @@ def test_blocking_never_changes_counts(corpus, monkeypatch):
 
 def test_components_of_a_long_path_and_a_star():
     # labels against the hooking order: the path runs from the largest id
-    # down, and the star's center has the largest id
+    # down, and the star's center has the largest id; each representative is
+    # its component's smallest node
     n = 1000
     path = np.arange(n - 1, 0, -1, dtype=np.int32)
     root = _components(n, path, path - 1)
-    assert (root == root[0]).all()
+    assert (root == 0).all()
     leaves = np.arange(n - 1, dtype=np.int32)
     root = _components(n + 5, leaves, np.full(n - 1, n - 1, dtype=np.int32))
-    assert len(set(root[:n].tolist())) == 1
+    assert (root[:n] == 0).all()
     assert root[n:].tolist() == list(range(n, n + 5))
+    # the first round hooks the edge ends as they are: an edge given twice,
+    # or in both orientations, hooks the same pair again
+    a = np.array([4, 4, 1, 2, 6, 3, 7], dtype=np.int32)
+    b = np.array([1, 1, 4, 6, 2, 7, 3], dtype=np.int32)
+    assert _components(9, a, b).tolist() == [0, 1, 2, 3, 1, 5, 2, 3, 8]
+    empty = np.empty(0, dtype=np.int32)
+    assert _components(4, empty, empty).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("block_size", [1, cascade.BLOCK_SIZE])
+def test_base_counts_are_the_reach_rule_with_everyone_forwarding(
+    block_size, corpus, sample9, lesmis, monkeypatch
+):
+    # one reachability rule: the kernel reads the base model's counts from
+    # the component pass, and they equal the weighted rule's counts under an
+    # all-true forwarding mask, slot by slot, on every block the kernel makes
+    reach = cascade._reach_counts
+    blocks = []
+
+    def spy(a, b, fwd):
+        blocks.append((a, b, len(fwd)))
+        return reach(a, b, fwd)
+
+    monkeypatch.setattr(cascade, "_reach_counts", spy)
+    monkeypatch.setattr(cascade, "BLOCK_SIZE", block_size)
+    monkeypatch.setattr(cascade, "MAX_BLOCKS", 10**9)
+    for g in [sample9, lesmis, *corpus]:
+        blocks.clear()
+        _, n_per, _ = cascade._slot_counts(g)
+        s0 = 0
+        for a, b, k in blocks:
+            assert reach(a, b, np.ones(k, dtype=bool)).tolist() == n_per[s0 : s0 + k].tolist()
+            s0 += k
+        assert s0 == len(n_per)
