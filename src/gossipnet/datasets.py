@@ -10,15 +10,10 @@ from .generate import GeneratorConfig, load_config
 from .graph import WeightedGraph, build_graph
 from .ingest import parse_edge_list
 
-#: Names accepted by :func:`bundled_config`.
-BUNDLED_CONFIGS = (
-    "er_n200",
-    "ba_n200",
-    "ws_n200",
-    "er_n1000",
-    "ba_n1000",
-    "ws_n1000",
-)
+_CONFIGS = resources.files(__package__).joinpath("data/configs")
+#: Names accepted by :func:`bundled_config`: the shipped config files' stems
+BUNDLED_CONFIGS = tuple(sorted(
+    ref.name.removesuffix(".cfg") for ref in _CONFIGS.iterdir() if ref.name.endswith(".cfg")))
 
 
 def les_miserables() -> WeightedGraph:
@@ -66,6 +61,5 @@ def bundled_config(name: str) -> GeneratorConfig:
     """
     if name not in BUNDLED_CONFIGS:
         raise ValueError(f"unknown config {name!r}; available: {BUNDLED_CONFIGS}")
-    ref = resources.files(__package__).joinpath(f"data/configs/{name}.cfg")
-    with resources.as_file(ref) as path:
+    with resources.as_file(_CONFIGS.joinpath(f"{name}.cfg")) as path:
         return load_config(path)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import builtins
 import math
+import numbers
 import os
 import pickle
 from dataclasses import MISSING, Field, dataclass, field, fields
@@ -42,6 +43,8 @@ MODELS = ("ER", "BA", "WS")
 TRUNCATIONS = ("resample", "clamp")
 WEIGHT_FLOOR = 1e-6
 Z_99 = 2.3263478740408408  # N(0, 1)'s 1% upper quantile: NormalDist().inv_cdf(0.99)
+#: What a GeneratorConfig field of each value type takes, numpy scalars too
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real}
 
 #: Stream id of each part of a realization, the last SeedSequence entry
 SEED_STREAMS = {"structure": 0, "weights": 1}
@@ -68,7 +71,8 @@ def _value_type(f: Field) -> type:
 class GeneratorConfig:
     """Structural and weight parameters for one generator family. Each field
     is also a config-file key and a ``generate``/``sweep`` flag. Construction
-    runs :meth:`validate`, so every config that exists is valid."""
+    checks each field against its declaration, then the rules between
+    fields, so every config that exists is valid."""
 
     model: str = _flag("generator family", choices=MODELS)
     N: int = _flag("number of nodes")
@@ -85,11 +89,16 @@ class GeneratorConfig:
     realizations: int = _flag("number of realizations (default %(default)s)", 50)
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        # each field against its declaration: the annotation's type (an int is
+        # a float too, a bool neither; None only under "| None"), the choices
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _value_type(f)
+            if value is None and f.type.endswith("| None"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS.get(kind, kind)):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
+            if (choices := f.metadata["choices"]) and value not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         if self.N < 2:
             raise ValueError(f"N must be at least 2, got {self.N}")
         _at_least_one(self.realizations, "realizations")
@@ -104,10 +113,6 @@ class GeneratorConfig:
             raise ValueError(f"weight_stddev must be non-negative, got {self.weight_stddev}")
         if self.weight_stddev == 0 and self.weight_mean <= WEIGHT_FLOOR:
             raise ValueError("weight_mean must exceed the positive floor when weight_stddev is 0")
-        if self.weight_truncation not in TRUNCATIONS:
-            raise ValueError(
-                f"weight_truncation must be one of {TRUNCATIONS}, got {self.weight_truncation!r}"
-            )
         # numpy draws mean + stddev * z, so every z >= Z_99 (1% of the draws)
         # lands above the floor exactly when this float sum does and the redraws
         # in _node_weights end; a spread too small to move the sum is refused
@@ -117,10 +122,10 @@ class GeneratorConfig:
                 "weight distribution has under 1% of its mass above the positive "
                 "floor; raise weight_mean or use weight_truncation clamp"
             )
-        if self.model == "ER":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"ER needs connection probability p in [0, 1], got {self.p!r}")
-        elif self.model == "BA":
+        if self.model != "BA" and (self.p is None or not 0.0 <= self.p <= 1.0):
+            role = "connection" if self.model == "ER" else "rewiring"
+            raise ValueError(f"{self.model} needs {role} probability p in [0, 1], got {self.p!r}")
+        if self.model == "BA":
             if self.m0 is None or self.m is None:
                 raise ValueError("BA needs m0 (seed clique size) and m (edges per new node)")
             if self.m0 < 2:
@@ -135,8 +140,6 @@ class GeneratorConfig:
                 raise ValueError(f"WS needs an even ring degree k >= 2, got {self.k!r}")
             if self.k >= self.N:
                 raise ValueError(f"WS needs k < N, got k={self.k}, N={self.N}")
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"WS needs rewiring probability p in [0, 1], got {self.p!r}")
 
 
 def _stream(cfg: GeneratorConfig, realization_index: int, part: str) -> np.random.Generator:
@@ -445,10 +448,9 @@ def save_config(cfg: GeneratorConfig, path: str | PathLike[str]) -> None:
             fh.write(f"{f.name} = {value}\n")
 
 
-def load_config(path: str | PathLike[str], **overrides) -> GeneratorConfig:
+def load_config(path: str | PathLike[str]) -> GeneratorConfig:
     """Read a ``key = value`` config file ('#' comments allowed) into a config.
 
-    Keyword overrides replace file values (e.g. ``seed=...`` for a new run).
     A repeated key or a malformed value raises ValueError naming its line.
     """
     kinds = {f.name: _value_type(f) for f in fields(GeneratorConfig)}
@@ -471,4 +473,4 @@ def load_config(path: str | PathLike[str], **overrides) -> GeneratorConfig:
             ) from None
     if "model" not in kwargs or "N" not in kwargs:
         raise ValueError(f"{path}: config must set at least 'model' and 'N'")
-    return GeneratorConfig(**{**kwargs, **overrides})
+    return GeneratorConfig(**kwargs)

@@ -13,6 +13,7 @@ this convention. All means are computed with exact summation
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -126,9 +127,11 @@ def _curve(k: np.ndarray, values: np.ndarray) -> tuple[float, DegreeCurve]:
 
 
 def _at_least_one(value: int, name: str = "") -> int:
-    """``value``, or ValueError (naming ``name``) when it is below 1: the one
-    bound of the counts ``min_samples``, ``workers`` and ``realizations``, in
-    the library and in the CLI."""
+    """``value``, or ValueError (naming ``name``) unless it is an int of at
+    least 1 (a bool is none): the one rule of the counts ``min_samples``,
+    ``workers`` and ``realizations``, in the library and in the CLI."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be int, got {value!r}".lstrip())
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}".lstrip())
     return value

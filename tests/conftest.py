@@ -15,6 +15,16 @@ CORPUS_SEED = 987654321
 CORPUS_SIZE = 200
 
 
+def refusal(make) -> str:
+    """The message of the ValueError that ``make()`` raises, "" when it returns.
+    A value accepted in error then fails its test by assertion."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
 def random_weighted_graph(rng: np.random.Generator, max_nodes: int = 60) -> WeightedGraph:
     """Random weighted graph with at least one edge, N in [5, max_nodes].
 

@@ -277,13 +277,42 @@ MUTANTS = (
     ),
     Mutant(  # a config made without its checks
         "generate.py",
-        "    def __post_init__(self) -> None:\n        self.validate()\n",
-        "",
+        "    def __post_init__(self) -> None:\n",
+        "    def __post_init__(self) -> None:\n        return\n",
         ("tests/test_cli.py::TestExitCodes::test_negative_seed_is_usage_error[generate]",
          "tests/test_cli.py::TestExitCodes::"
          "test_invalid_generator_parameters_are_usage_errors[ba_m0_1-generate]",
          "tests/test_generate.py::TestConfigValidation::test_rejects_bad_parameters[cfg0-model]"),
-        "Each choice settled once",
+        "A generator config is checked once, in its constructor",
+    ),
+    Mutant(  # a config field's value taken whatever its type
+        "generate.py",
+        "if isinstance(value, bool) or not isinstance(value, _ACCEPTS.get(kind, kind)):",
+        "if False:",
+        ("tests/test_generate.py::TestConfigValidation::test_rejects_wrong_types[ER-N-10.0-int]",
+         "tests/test_generate.py::TestConfigValidation::test_rejects_wrong_types[ER-p-True-float]",
+         "tests/test_generate.py::TestConfigValidation::"
+         "test_rejects_wrong_types[ER-seed-1.5-int]"),
+        "A generator config is checked once, in its constructor",
+    ),
+    Mutant(  # a config field's value taken outside its choices
+        "generate.py",
+        'if (choices := f.metadata["choices"]) and value not in choices:',
+        "if False:",
+        ("tests/test_generate.py::TestConfigValidation::test_rejects_bad_parameters[cfg0-model]",
+         "tests/test_generate.py::TestConfigValidation::"
+         "test_rejects_bad_parameters[cfg13-truncation]"),
+        "A generator config is checked once, in its constructor",
+    ),
+    Mutant(  # a count that is no integer taken for one
+        "metrics.py",
+        "    if isinstance(value, bool) or not isinstance(value, numbers.Integral):\n"
+        '        raise ValueError(f"{name} must be int, got {value!r}".lstrip())\n',
+        "",
+        ("tests/test_metrics.py::TestFindK0::test_min_samples_must_be_an_integer[1.5]",
+         "tests/test_metrics.py::TestFindK0::test_min_samples_must_be_an_integer[True]",
+         "tests/test_generate.py::TestEnsemble::test_workers_must_be_an_integer[True]"),
+        "A generator config is checked once, in its constructor",
     ),
     Mutant(  # --model unweighted reports the weighted model too
         "metrics.py",

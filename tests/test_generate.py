@@ -8,11 +8,14 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipnet import (
     GeneratorConfig,
@@ -30,6 +33,7 @@ from gossipnet import (
 from gossipnet import generate
 from gossipnet.generate import (
     ER_CHUNK,
+    MODELS,
     TRUNCATIONS,
     WEIGHT_FLOOR,
     _ba_edges,
@@ -40,17 +44,7 @@ from gossipnet.generate import (
     _ws_edges,
 )
 
-from .conftest import assert_same_graph
-
-
-def refusal(make) -> str:
-    """The message of the ValueError that ``make()`` raises, "" when it returns.
-    A config made in error then fails its test by assertion."""
-    try:
-        make()
-    except ValueError as exc:
-        return str(exc)
-    return ""
+from .conftest import assert_same_graph, refusal
 
 
 def er(n=60, p=0.1, **kw):
@@ -101,6 +95,42 @@ class TestConfigValidation:
     )
     def test_rejects_bad_parameters(self, cfg, match):
         assert match in refusal(cfg)
+
+    # each field against its declaration, before any rule between fields:
+    # (model, field, value, the field's type)
+    @pytest.mark.parametrize("model,name,value,kind", [
+        ("ER", "N", 10.0, "int"),
+        ("BA", "m0", 3.0, "int"),
+        ("WS", "k", 4.0, "int"),
+        ("ER", "seed", 1.5, "int"),
+        ("ER", "realizations", 2.5, "int"),
+        ("ER", "p", True, "float"),
+        ("ER", "N", "10", "int"),
+        ("ER", "N", None, "int"),
+        ("BA", "m", np.float64(2.0), "int"),
+        ("ER", "seed", np.True_, "int"),
+        ("WS", "p", "0.1", "float"),
+        ("ER", "weight_mean", None, "float"),
+        ("ER", "weight_truncation", 1, "str"),
+        ("ER", "model", None, "str"),
+    ])
+    def test_rejects_wrong_types(self, model, name, value, kind):
+        kw = {"ER": dict(N=10, p=0.3), "BA": dict(N=10, m0=3, m=2), "WS": dict(N=10, k=4, p=0.1)}
+        make = partial(GeneratorConfig, **{"model": model, **kw[model], name: value})
+        assert refusal(make) == f"{name} must be {kind}, got {value!r}"
+
+    @pytest.mark.parametrize("kw", [
+        dict(model="ER", N=np.int64(10), p=np.float64(0.3), seed=np.uint64(2**63),
+             realizations=np.int32(2)),
+        dict(model="ER", N=10, p=1, weight_mean=2, weight_stddev=0),
+        dict(model=np.str_("BA"), N=np.uint8(10), m0=np.int16(3), m=np.int8(2),
+             weight_mean=np.float32(0.5), weight_truncation=np.str_("clamp")),
+        dict(model="WS", N=np.int32(10), k=np.int64(4), p=np.float32(0.1)),
+    ])
+    def test_accepts_numpy_scalars_and_ints_for_floats(self, kw):
+        cfg = GeneratorConfig(**kw)
+        assert all(getattr(cfg, name) == value for name, value in kw.items())
+        assert realization(cfg, 0).node_count == 10
 
     def test_resample_needs_mass_above_floor(self):
         # P(N(mean, 1) > floor) crosses 0.01 between mean -2.33 and -2.32
@@ -514,6 +544,14 @@ class TestEnsemble:
             with pytest.raises(ValueError, match="workers"):
                 run_ensemble(cfg, workers=workers)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None], ids=repr)
+    def test_workers_must_be_an_integer(self, monkeypatch, value):
+        # with more CPUs than workers, 2.5 would reach the pool's range()
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = ws(n=30, k=4, p=0.2, seed=13, realizations=4)
+        message = f"workers must be int, got {value!r}"
+        assert refusal(partial(run_ensemble, cfg, workers=value)) == message
+
     def test_pool_size_bounded_by_realizations_and_cpus(self):
         cpus = os.cpu_count() or 1
         assert _pool_size(1, 50) == 1
@@ -552,10 +590,41 @@ class TestConfigFiles:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    # good values of every field, numpy scalars and ints for floats among
+    # them, and at times one value of the wrong type, which must not make one
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({
+        "model": st.sampled_from(MODELS),
+        "N": st.one_of(st.integers(2, 40), st.just(np.int64(12))),
+        "p": st.one_of(st.floats(0, 1), st.sampled_from([0, 1, np.float32(0.1)])),
+        "m0": st.integers(2, 8),
+        "m": st.integers(1, 4),
+        "k": st.sampled_from([2, 4, 6, np.int16(4)]),
+        "weight_mean": st.one_of(st.floats(1e-300, 1e300), st.floats(),
+                                 st.integers(-10**6, 10**6)),
+        "weight_stddev": st.one_of(st.floats(0, 10), st.floats(0), st.integers(0, 10**6)),
+        "weight_truncation": st.sampled_from(TRUNCATIONS),
+        "seed": st.integers(0, 2**128),
+        "realizations": st.integers(1, 100),
+    }), st.one_of(st.just({}), st.sampled_from([
+        {"N": 10.0}, {"N": "10"}, {"p": True}, {"m0": 3.0}, {"k": 4.0}, {"seed": 1.5},
+        {"realizations": 2.5}, {"m": None}])))
+    def test_every_config_made_reads_back_equal(self, tmp_path_factory, kw, wrong):
+        kw.update(wrong)
+        if refusal(partial(GeneratorConfig, **kw)):
+            return
+        cfg = GeneratorConfig(**kw)
+        path = tmp_path_factory.mktemp("cfg") / "made.cfg"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
     def test_override_on_load(self, tmp_path):
+        # a new run of a file's config is a replaced field, checked as any config is
         path = tmp_path / "er.cfg"
         save_config(er(seed=1), path)
-        assert load_config(path, seed=77).seed == 77
+        assert replace(load_config(path), seed=77).seed == 77
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            replace(load_config(path), seed=-1)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -618,7 +687,6 @@ class TestConfigFiles:
 
         for name in BUNDLED_CONFIGS:
             cfg = bundled_config(name)
-            cfg.validate()
             assert cfg.realizations == 50
         with pytest.raises(ValueError, match="unknown config"):
             bundled_config("nope")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import fields
+from functools import partial
 
 import pytest
 
@@ -21,6 +22,8 @@ from gossipnet import (
     summarize,
     victim_spread,
 )
+
+from .conftest import refusal
 
 
 def complete_graph(n, w=1.0):
@@ -135,6 +138,13 @@ class TestFindK0:
         # filtering can leave too few points
         assert find_k0(c, min_samples=5)[0] == 2
         assert find_k0(c, min_samples=6) == (None, False)
+
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None], ids=repr)
+    def test_min_samples_must_be_an_integer(self, sample9, value):
+        message = f"min_samples must be int, got {value!r}"
+        assert refusal(partial(analyze_network, sample9, min_samples=value)) == message
+        assert refusal(partial(find_k0, self.curve({}), value)) == message
 
 
 class TestSummarize:
