@@ -306,7 +306,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         raise _UsageError(f"--out: {args.out!r} is a directory")
     with nullcontext() if out is None else _out_dir(out.parent) as file:
         with _blamed(_InputError, _READ_ERRORS):
-            events = _read_events(args.input, "auto")
+            events = _read_events(args.input)
         if not events.groups:
             _note(f"warning: {args.input}: no event records, writing empty output")
         project = project_count if args.scheme == "count" else project_newman

@@ -99,6 +99,14 @@ class GeneratorConfig:
                 raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
             if (choices := f.metadata["choices"]) and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
+            # kept as the declared type, so no fixed-width numpy arithmetic
+            # follows; an int past the float range is the infinity it rounds
+            # to, which the rules below refuse as they refuse a float one
+            try:
+                value = kind(value)
+            except OverflowError:
+                value = math.inf if value > 0 else -math.inf
+            object.__setattr__(self, f.name, value)
         if self.N < 2:
             raise ValueError(f"N must be at least 2, got {self.N}")
         _at_least_one(self.realizations, "realizations")

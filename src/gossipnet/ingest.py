@@ -2,11 +2,11 @@
 
 Edge-list format: one ``<label> <label> <weight>`` record per line, comments
 starting with '#', blank lines ignored, separator auto-detected per file
-(comma if the first data line contains one, whitespace otherwise) with an
-explicit override. Bipartite event format: ``<group-id> <member-label>``
-records; all records sharing a group id form one event, whether or not they
-are consecutive. Both formats are read in blocks of whole lines, with the
-errors and line numbers of a line-by-line read.
+(comma if the first data line contains one, whitespace otherwise). Bipartite
+event format: ``<group-id> <member-label>`` records; all records sharing a
+group id form one event, whether or not they are consecutive. Both formats
+are read in blocks of whole lines, with the errors and line numbers of a
+line-by-line read.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 from .graph import (
     WeightedGraph, _from_keys, _from_pairs, _intern, _label_index, _pair_keys, _pairs_after, _spans,
 )
-
-SEPARATORS = ("auto", "comma", "whitespace")
 
 #: Characters of text read per block of whole lines; it bounds the reader's
 #: temporaries, never the results.
@@ -50,9 +48,7 @@ def _split(line: str, sep: str) -> list[str]:
     return line.split()
 
 
-def _detect_sep(first_data_line: str, sep: str) -> str:
-    if sep != "auto":
-        return sep
+def _detect_sep(first_data_line: str) -> str:
     return "comma" if "," in first_data_line else "whitespace"
 
 
@@ -73,19 +69,19 @@ def _numbered(lines: Iterable[str], lineno: int) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def parse_edge_list(path: str | PathLike[str], sep: str = "auto") -> WeightedGraph:
+def parse_edge_list(path: str | PathLike[str]) -> WeightedGraph:
     """Parse a weighted edge list into a graph (duplicates merge by sum);
     dense indices follow first appearance, as build_graph's do."""
     index = _label_index()
     ends, weights = _read_blocks(
-        path, sep, 3, lambda tokens: _fast_edges(tokens, index), _check_edge
+        path, 3, lambda tokens: _fast_edges(tokens, index), _check_edge
     )
     labels = tuple(index)
     del index
     return _from_pairs(labels, ends.reshape(-1, 2), weights)
 
 
-def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray]:
+def _read_blocks(path, n_fields: int, plain, check) -> list[np.ndarray]:
     """The columns of a file's ``n_fields``-field records, read in blocks of
     whole lines.
 
@@ -96,8 +92,6 @@ def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray
     first bad line. Either way the block's tokens go to ``plain(tokens)``,
     which returns a tuple of arrays, one per column.
     """
-    if sep not in SEPARATORS:
-        raise ValueError(f"sep must be one of {SEPARATORS}, got {sep!r}")
     parts = []
     chosen = None
     lineno = 0
@@ -109,13 +103,13 @@ def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray
             while block := fh.read(BLOCK) + fh.readline():
                 if chosen is None:  # picked on the first data line
                     data = (line for _, line in _numbered(block.split("\n"), 0))
-                    chosen = next((_detect_sep(line, sep) for line in data), None)
+                    chosen = next((_detect_sep(line) for line in data), None)
                 tokens = _fast_block(block, n_fields) if chosen == "whitespace" else None
                 part = None if tokens is None else plain(tokens)
                 del tokens  # free this block's strings before the next is read
                 if part is None:
                     lines = block.split("\n")
-                    part = plain(_records(path, sep, chosen, lineno, lines, n_fields, check))
+                    part = plain(_records(path, chosen, lineno, lines, n_fields, check))
                 parts.append(part)
                 lineno += block.count("\n")
     except UnicodeDecodeError:
@@ -123,7 +117,7 @@ def _read_blocks(path, sep: str, n_fields: int, plain, check) -> list[np.ndarray
         # so that a malformed line before them is reported first
         with _open_text(path) as fh:
             rest = itertools.islice(fh, lineno, None)
-            _records(path, sep, chosen, lineno, rest, n_fields, check)
+            _records(path, chosen, lineno, rest, n_fields, check)
         raise
     if not parts:  # no lines: empty columns
         parts.append(plain([]))
@@ -163,14 +157,14 @@ def _fast_edges(tokens: list[str], index: dict) -> tuple[np.ndarray, np.ndarray]
     return ends, weights
 
 
-def _records(path, sep, chosen, lineno, lines, n_fields, check) -> list[str]:
+def _records(path, chosen, lineno, lines, n_fields, check) -> list[str]:
     """The fields of the data lines after line ``lineno``, read one by one;
     raises EdgeListError naming the first line without ``n_fields`` fields
     or whose fields ``check(path, lineno, fields)`` refuses."""
     tokens: list[str] = []
     for lineno, line in _numbered(lines, lineno):
         if chosen is None:
-            chosen = _detect_sep(line, sep)
+            chosen = _detect_sep(line)
         fields = _split(line, chosen)
         if len(fields) != n_fields:
             raise EdgeListError(
@@ -267,7 +261,7 @@ class _Events(NamedTuple):
     member_ids: np.ndarray
 
 
-def _read_events(path: str | PathLike[str], sep: str) -> _Events:
+def _read_events(path: str | PathLike[str]) -> _Events:
     """The records of a bipartite event file, read in blocks like an edge list."""
     groups, members = _label_index(), _label_index()
 
@@ -275,7 +269,7 @@ def _read_events(path: str | PathLike[str], sep: str) -> _Events:
         return _intern(groups, tokens[0::2]), _intern(members, tokens[1::2])
 
     # any two fields are an event record
-    group_ids, member_ids = _read_blocks(path, sep, 2, plain, lambda *_: None)
+    group_ids, member_ids = _read_blocks(path, 2, plain, lambda *_: None)
     return _Events(list(groups), group_ids, list(members), member_ids)
 
 
@@ -310,9 +304,9 @@ def _normalize(events: _Events) -> tuple[list, np.ndarray, np.ndarray]:
     return labels, index[m], np.bincount(g[kept], minlength=len(events.groups))
 
 
-def parse_bipartite(path: str | PathLike[str], sep: str = "auto") -> dict[str, list[str]]:
+def parse_bipartite(path: str | PathLike[str]) -> dict[str, list[str]]:
     """Parse group/member records into ordered, deduplicated event groups."""
-    events = _read_events(path, sep)
+    events = _read_events(path)
     labels, member_ids, sizes = _normalize(events)
     members = [labels[i] for i in member_ids.tolist()]
     ends = np.cumsum(sizes).tolist()

@@ -295,6 +295,29 @@ MUTANTS = (
          "test_rejects_wrong_types[ER-seed-1.5-int]"),
         "A generator config is checked once, in its constructor",
     ),
+    Mutant(  # a config keeps a numpy scalar as given
+        "generate.py",
+        "            object.__setattr__(self, f.name, value)\n",
+        "",
+        ("tests/test_generate.py::TestConfigValidation::"
+         "test_numpy_scalars_are_kept_as_declared_types",),
+        "The readers take only a path",
+    ),
+    Mutant(  # a huge int reaches the finiteness rule
+        "generate.py",
+        "            try:\n"
+        "                value = kind(value)\n"
+        "            except OverflowError:\n"
+        "                value = math.inf if value > 0 else -math.inf\n",
+        "            value = kind(value)\n",
+        ("tests/test_generate.py::TestConfigValidation::"
+         "test_int_past_the_float_range_is_refused_as_its_infinity[weight_mean]",
+         "tests/test_generate.py::TestConfigValidation::"
+         "test_int_past_the_float_range_is_refused_as_its_infinity[weight_stddev]",
+         "tests/test_generate.py::TestConfigValidation::"
+         "test_int_past_the_float_range_is_refused_as_its_infinity[p]"),
+        "The readers take only a path",
+    ),
     Mutant(  # a config field's value taken outside its choices
         "generate.py",
         'if (choices := f.metadata["choices"]) and value not in choices:',

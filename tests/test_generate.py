@@ -132,6 +132,24 @@ class TestConfigValidation:
         assert all(getattr(cfg, name) == value for name, value in kw.items())
         assert realization(cfg, 0).node_count == 10
 
+    def test_numpy_scalars_are_kept_as_declared_types(self):
+        # an int16 N would overflow the WS pair keys, (n - j) * (n + 1)
+        cfg = ws(n=np.int16(300))
+        assert type(cfg.N) is int
+        assert_same_graph(realization(cfg, 0), realization(ws(n=300), 0))
+
+    @pytest.mark.parametrize("name,value,match", [
+        ("weight_mean", 10**400, "finite"),
+        ("weight_mean", -10**400, "finite"),
+        ("weight_stddev", 10**400, "finite"),
+        ("p", 10**400, "in [0, 1]"),
+        ("p", -10**400, "in [0, 1]"),
+    ], ids=["weight_mean", "-weight_mean", "weight_stddev", "p", "-p"])
+    def test_int_past_the_float_range_is_refused_as_its_infinity(self, name, value, match):
+        with pytest.raises(Exception) as info:
+            er(**{name: value})
+        assert info.type is ValueError and match in str(info.value)
+
     def test_resample_needs_mass_above_floor(self):
         # P(N(mean, 1) > floor) crosses 0.01 between mean -2.33 and -2.32
         with pytest.raises(ValueError, match="floor"):

@@ -52,14 +52,6 @@ class TestParseEdgeList:
         g = parse_edge_list(p)
         assert g.edge_count == 2 and g.weight("b", "c") == 2.0
 
-    def test_explicit_separator_override(self, tmp_path):
-        p = tmp_path / "g.txt"
-        p.write_text("a b 1\n")
-        with pytest.raises(EdgeListError, match=":1:"):
-            parse_edge_list(p, sep="comma")
-        with pytest.raises(ValueError, match="sep"):
-            parse_edge_list(p, sep="tabs")
-
     def test_crlf_tolerated(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_bytes(b"a b 1\r\nb c 2\r\n")
@@ -141,11 +133,9 @@ class TestParseEdgeList:
         assert peak < 5_650_000
 
 
-def reference_records(path, sep: str = "auto") -> list[tuple[str, str, float]]:
+def reference_records(path) -> list[tuple[str, str, float]]:
     """The records of an edge list read one line at a time: the reader's
     specification, errors and line numbers included."""
-    if sep not in ("auto", "comma", "whitespace"):
-        raise ValueError(f"bad sep {sep!r}")
     records, chosen = [], None
     with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -153,7 +143,7 @@ def reference_records(path, sep: str = "auto") -> list[tuple[str, str, float]]:
             if not line or line.startswith("#"):
                 continue
             if chosen is None:
-                chosen = sep if sep != "auto" else "comma" if "," in line else "whitespace"
+                chosen = "comma" if "," in line else "whitespace"
             if chosen == "comma":
                 fields = [f.strip() for f in line.split(",")]
             else:
@@ -176,9 +166,9 @@ def reference_records(path, sep: str = "auto") -> list[tuple[str, str, float]]:
     return records
 
 
-def reference_error(path, sep: str = "auto") -> Exception:
+def reference_error(path) -> Exception:
     with pytest.raises(Exception) as info:
-        reference_records(path, sep)
+        reference_records(path)
     return info.value
 
 
@@ -245,7 +235,7 @@ class TestBlockReader:
         monkeypatch.setattr(ingest, "BLOCK", 40)
         calls = []
         records = ingest._records
-        monkeypatch.setattr(ingest, "_records", lambda *a: calls.append(a[3]) or records(*a))
+        monkeypatch.setattr(ingest, "_records", lambda *a: calls.append(a[2]) or records(*a))
         p = tmp_path / "g.edges"
         lines = [f"n{i} n{i + 1} {i % 4 + 1}\n" for i in range(60)]
         p.write_text("".join(lines))
@@ -337,21 +327,6 @@ class TestBlockReader:
         assert parse_edge_list(p).has_node("x,y")
         p.write_text("\n" * 10 + "a,b,1\nc, d , 2\n")
         assert_same_graph(parse_edge_list(p), build_graph(reference_records(p)))
-        p.write_text("a b 1\n" * 10)
-        with pytest.raises(EdgeListError) as info:
-            parse_edge_list(p, sep="comma")
-        assert str(info.value) == str(reference_error(p, "comma"))
-
-    @pytest.mark.parametrize("reader", [parse_edge_list, parse_bipartite],
-                             ids=["edges", "events"])
-    @pytest.mark.parametrize("text", [None, "", "# only a comment\n\n", "# c\na b 1\n"],
-                             ids=["missing", "empty", "comment_only", "data"])
-    def test_unknown_separator_raises_before_reading(self, tmp_path, reader, text):
-        p = tmp_path / "g.edges"
-        if text is not None:
-            p.write_text(text)
-        with pytest.raises(ValueError, match="sep must be one of"):
-            reader(p, sep="tabs")
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "g.edges"
@@ -578,11 +553,9 @@ class TestParseBipartite:
             parse_bipartite(p)
 
 
-def reference_events(path, sep: str = "auto") -> list[tuple[str, str]]:
+def reference_events(path) -> list[tuple[str, str]]:
     """The records of an event file read one line at a time: the reader's
     specification, errors and line numbers included."""
-    if sep not in ("auto", "comma", "whitespace"):
-        raise ValueError(f"bad sep {sep!r}")
     records, chosen = [], None
     with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -590,7 +563,7 @@ def reference_events(path, sep: str = "auto") -> list[tuple[str, str]]:
             if not line or line.startswith("#"):
                 continue
             if chosen is None:
-                chosen = sep if sep != "auto" else "comma" if "," in line else "whitespace"
+                chosen = "comma" if "," in line else "whitespace"
             if chosen == "comma":
                 fields = [f.strip() for f in line.split(",")]
             else:
@@ -604,9 +577,9 @@ def reference_events(path, sep: str = "auto") -> list[tuple[str, str]]:
     return records
 
 
-def read_records(path, sep: str = "auto") -> list[tuple[str, str]]:
+def read_records(path) -> list[tuple[str, str]]:
     """The records the block reader returns, as labels, in record order."""
-    events = ingest._read_events(path, sep)
+    events = ingest._read_events(path)
     return [(events.groups[g], events.members[m])
             for g, m in zip(events.group_ids.tolist(), events.member_ids.tolist())]
 
@@ -643,7 +616,7 @@ class TestEventReader:
         records = reference_events(p)
         assert read_records(p) == records
         assert parse_bipartite(p) == reference_groups(records)
-        events = ingest._read_events(p, "auto")
+        events = ingest._read_events(p)
         for project, increment in [(project_count, lambda n: 1.0),
                                    (project_newman, lambda n: 1.0 / (n - 1))]:
             assert_same_graph(project(events), reference_projection(records, increment))
@@ -653,7 +626,7 @@ class TestEventReader:
         calls = []
         records = ingest._records
         monkeypatch.setattr(ingest, "_records",
-                            lambda *a: calls.append(a[3]) or records(*a))
+                            lambda *a: calls.append(a[2]) or records(*a))
         p = tmp_path / "events.txt"
         lines = [f"e{i % 7} n{i}\n" for i in range(60)]
         p.write_text("".join(lines))
@@ -742,11 +715,6 @@ class TestEventReader:
         p.write_text("# group, member\n" + "".join(f"g{i % 3}, a b{i}\n" for i in range(30)))
         assert read_records(p) == reference_events(p)
         assert parse_bipartite(p)["g1"][:2] == ["a b1", "a b4"]
-        p.write_text("g1 a\ng1 b\n")
-        with pytest.raises(EdgeListError) as info:
-            parse_bipartite(p, sep="comma")
-        assert str(info.value) == str(reference_error_events(p, "comma"))
-        assert parse_bipartite(p, sep="whitespace") == {"g1": ["a", "b"]}
 
     @pytest.mark.parametrize("text", ["", "\ufeff", "# only\n\n  \t\n", "\ufeff#x\r\n#y"])
     def test_no_records(self, tmp_path, text):
@@ -757,9 +725,9 @@ class TestEventReader:
         assert project_count(parse_bipartite(p)).node_count == 0
 
 
-def reference_error_events(path, sep: str = "auto") -> Exception:
+def reference_error_events(path) -> Exception:
     with pytest.raises(Exception) as info:
-        reference_events(path, sep)
+        reference_events(path)
     return info.value
 
 
